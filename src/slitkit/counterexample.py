@@ -126,11 +126,7 @@ class _Phi:
 
     def descending_grid(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and preimages along a strictly descending grid in [-x0, 0)."""
-        z = self.p0.x
-        lead = abs(float(xis[0]))
-        n_lead = max(1, math.ceil(lead / CONTINUATION_STEP))
-        for k in range(1, n_lead + 1):
-            z = f_inverse(self.p0, xis[0] * k / n_lead, z).real
+        z = f_inverse_real_segment(self.p0, float(xis[0]))
         vals = np.empty(xis.size)
         pres = np.empty(xis.size)
         for i, xi in enumerate(xis):
@@ -185,9 +181,7 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
 @dataclass(frozen=True)
 class _Candidate:
     x: float
-    delta_raw: float
     delta: float
-    q: float
     dist_gamma: float
     margin_i: float
     margin_ii: float
@@ -260,13 +254,26 @@ def _walk_candidates(cfg: CounterexampleConfig):
         margin_i = _interior_margin(phi, cfg.x0, delta)
         yield _Candidate(
             x=x,
-            delta_raw=delta_raw,
             delta=delta,
-            q=q,
             dist_gamma=dist_gamma,
             margin_i=margin_i,
             margin_ii=margin_ii,
         )
+
+
+def _choose_candidate(cfg: CounterexampleConfig) -> tuple[_Candidate | None, bool]:
+    """First walk candidate whose interval margins both clear tol.
+
+    Returns (candidate, True) for it, or, when the walk finds none, the
+    candidate with the best weakest margin (None for an empty walk) and False.
+    """
+    best = None
+    for cand in _walk_candidates(cfg):
+        if cand.margin_i > cfg.tol and cand.margin_ii > cfg.tol:
+            return cand, True
+        if best is None or cand.weakest > best.weakest:
+            best = cand
+    return best, False
 
 
 def search_x_star(cfg: CounterexampleConfig) -> tuple[float, float]:
@@ -276,12 +283,12 @@ def search_x_star(cfg: CounterexampleConfig) -> tuple[float, float]:
     Raises ConvergenceError when the grid is exhausted, which signals steps
     too coarse rather than nonexistence.
     """
-    for cand in _walk_candidates(cfg):
-        if cand.margin_i > cfg.tol and cand.margin_ii > cfg.tol:
-            return cand.x, cand.delta
-    raise ConvergenceError(
-        "search grid exhausted without a qualifying x; refine x_grid_step"
-    )
+    cand, qualified = _choose_candidate(cfg)
+    if not qualified:
+        raise ConvergenceError(
+            "search grid exhausted without a qualifying x; refine x_grid_step"
+        )
+    return cand.x, cand.delta
 
 
 @dataclass(frozen=True)
@@ -349,7 +356,7 @@ def _select_zeta(x0: float, delta: float, dist_gamma: float, tol: float) -> floa
     return zeta
 
 
-def _margins_for_witness(
+def _certificate(
     cfg: CounterexampleConfig,
     x_star: float,
     delta: float,
@@ -357,10 +364,9 @@ def _margins_for_witness(
     modulus: AnnulusModulus,
     margin_i: float | None = None,
     dist_gamma: float | None = None,
-) -> tuple[dict, float, float, float]:
-    """Margin dict for a fixed witness; grid quantities recomputed on demand."""
+) -> Certificate:
+    """Certificate for a fixed witness; grid quantities recomputed on demand."""
     phi = _Phi(x_star, cfg.x0, modulus)
-    q = q_of(x_star, cfg.x0, modulus)
     if dist_gamma is None:
         dist_gamma = slit_dist_after_mobius(x_star, cfg.x0, modulus)
     if margin_i is None:
@@ -373,7 +379,21 @@ def _margins_for_witness(
         "dist_gt_zeta": dist_gamma - abs(zeta_star),
         "r_over_x0_lt_zeta": abs(zeta_star) - cfg.r / cfg.x0,
     }
-    return margins, q, dist_gamma, phi_at_zeta
+    return Certificate(
+        r=cfg.r,
+        x0=cfg.x0,
+        epsilon=cfg.epsilon,
+        tol=cfg.tol,
+        x_star=x_star,
+        delta=delta,
+        zeta_star=zeta_star,
+        q_at_xstar=q_of(x_star, cfg.x0, modulus),
+        dist_gamma=dist_gamma,
+        phi_at_zeta=phi_at_zeta,
+        margins=margins,
+        truncation_report=_truncation_report(cfg, x_star, modulus),
+        passed=all(margins[k] > cfg.tol for k in MARGIN_KEYS),
+    )
 
 
 def certify_degenerate(cfg: CounterexampleConfig) -> Certificate:
@@ -384,39 +404,15 @@ def certify_degenerate(cfg: CounterexampleConfig) -> Certificate:
     weakest margin is certified anyway; its margins document the failure and
     passed comes out false.
     """
-    first_pass = None
-    best = None
-    for cand in _walk_candidates(cfg):
-        if best is None or cand.weakest > best.weakest:
-            best = cand
-        if cand.margin_i > cfg.tol and cand.margin_ii > cfg.tol:
-            first_pass = cand
-            break
-    chosen = first_pass if first_pass is not None else best
+    chosen, _ = _choose_candidate(cfg)
     if chosen is None:
         raise ConvergenceError(
             "no admissible candidate on the search grid; refine x_grid_step"
         )
-    modulus = cfg.modulus()
     zeta = _select_zeta(cfg.x0, chosen.delta, chosen.dist_gamma, cfg.tol)
-    margins, q, dist_gamma, phi_at_zeta = _margins_for_witness(
-        cfg, chosen.x, chosen.delta, zeta, modulus,
+    return _certificate(
+        cfg, chosen.x, chosen.delta, zeta, cfg.modulus(),
         margin_i=chosen.margin_i, dist_gamma=chosen.dist_gamma,
-    )
-    return Certificate(
-        r=cfg.r,
-        x0=cfg.x0,
-        epsilon=cfg.epsilon,
-        tol=cfg.tol,
-        x_star=chosen.x,
-        delta=chosen.delta,
-        zeta_star=zeta,
-        q_at_xstar=q,
-        dist_gamma=dist_gamma,
-        phi_at_zeta=phi_at_zeta,
-        margins=margins,
-        truncation_report=_truncation_report(cfg, chosen.x, modulus),
-        passed=all(margins[k] > cfg.tol for k in MARGIN_KEYS),
     )
 
 
@@ -429,67 +425,33 @@ def revalidate_certificate(
     are redone.  Drift of the margins under tightened truncation measures
     how far the certificate is from the infinite product.
     """
-    modulus = cfg.modulus(trunc_tol)
-    margins, q, dist_gamma, phi_at_zeta = _margins_for_witness(
-        cfg, cert.x_star, cert.delta, cert.zeta_star, modulus
+    return _certificate(
+        cfg, cert.x_star, cert.delta, cert.zeta_star, cfg.modulus(trunc_tol)
     )
-    return Certificate(
-        r=cfg.r,
-        x0=cfg.x0,
-        epsilon=cfg.epsilon,
-        tol=cfg.tol,
-        x_star=cert.x_star,
-        delta=cert.delta,
-        zeta_star=cert.zeta_star,
-        q_at_xstar=q,
-        dist_gamma=dist_gamma,
-        phi_at_zeta=phi_at_zeta,
-        margins=margins,
-        truncation_report=_truncation_report(cfg, cert.x_star, modulus),
-        passed=all(margins[k] > cfg.tol for k in MARGIN_KEYS),
-    )
+
+
+# Field order of the certificate JSON document.
+_JSON_KEYS = (
+    "r", "x0", "epsilon", "x_star", "delta", "zeta_star", "dist_gamma",
+    "q_at_xstar", "phi_at_zeta", "margins", "tol", "truncation_report", "passed",
+)
 
 
 def certificate_to_json(cert: Certificate) -> str:
     """Serialize a certificate to a stable, human-readable JSON string."""
-    doc = {
-        "r": cert.r,
-        "x0": cert.x0,
-        "epsilon": cert.epsilon,
-        "x_star": cert.x_star,
-        "delta": cert.delta,
-        "zeta_star": cert.zeta_star,
-        "dist_gamma": cert.dist_gamma,
-        "q_at_xstar": cert.q_at_xstar,
-        "phi_at_zeta": cert.phi_at_zeta,
-        "margins": {k: cert.margins[k] for k in MARGIN_KEYS},
-        "tol": cert.tol,
-        "truncation_report": cert.truncation_report,
-        "passed": cert.passed,
-    }
+    doc = {k: getattr(cert, k) for k in _JSON_KEYS}
+    doc["margins"] = {k: cert.margins[k] for k in MARGIN_KEYS}
     return json.dumps(doc, indent=2) + "\n"
 
 
 def certificate_from_json(text: str) -> Certificate:
     doc = json.loads(text)
     try:
-        return Certificate(
-            r=doc["r"],
-            x0=doc["x0"],
-            epsilon=doc["epsilon"],
-            tol=doc["tol"],
-            x_star=doc["x_star"],
-            delta=doc["delta"],
-            zeta_star=doc["zeta_star"],
-            q_at_xstar=doc["q_at_xstar"],
-            dist_gamma=doc["dist_gamma"],
-            phi_at_zeta=doc["phi_at_zeta"],
-            margins=dict(doc["margins"]),
-            truncation_report=doc["truncation_report"],
-            passed=doc["passed"],
-        )
+        fields = {k: doc[k] for k in _JSON_KEYS}
     except KeyError as exc:
         raise DomainError(f"certificate JSON missing field {exc}") from exc
+    fields["margins"] = dict(fields["margins"])
+    return Certificate(**fields)
 
 
 @dataclass(frozen=True)
@@ -615,6 +577,17 @@ class EvidenceTable:
         return "\n".join(lines) + "\n"
 
 
+def _family_diameter(arc_samples: list[np.ndarray]) -> float:
+    """Largest distance between samples of arcs that share one angular window.
+
+    |rho e^{ia} - sigma e^{ib}|^2 = rho^2 + sigma^2 - 2 rho sigma cos(a - b)
+    grows with |a - b| < pi, and the window is narrower than pi, so the
+    farthest pair of samples is a pair of arc endpoints.
+    """
+    ends = np.array([end for pts in arc_samples for end in (pts[0], pts[-1])])
+    return float(np.abs(ends[:, None] - ends[None, :]).max())
+
+
 def _map_arc_through_phi(phi: _Phi, arc: CircularArc) -> tuple[np.ndarray, np.ndarray]:
     """Sample one arc and push it through phi by continuation from its midpoint.
 
@@ -622,8 +595,7 @@ def _map_arc_through_phi(phi: _Phi, arc: CircularArc) -> tuple[np.ndarray, np.nd
     real segment at -radius, which is the arc's intersection with the ray
     through zeta_star.
     """
-    theta = np.linspace(arc.theta_min, arc.theta_max, ARC_SAMPLES)
-    pts = arc.radius * np.exp(1j * theta)
+    pts = arc.sample(ARC_SAMPLES)
     anchor = f_inverse_real_segment(phi.p0, -arc.radius)
     vals = np.empty(ARC_SAMPLES, dtype=complex)
     mid = ARC_SAMPLES // 2
@@ -668,8 +640,8 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
             min_abs_phi = min(min_abs_phi, float(np.abs(vals).min()))
         dist_phi_image = min(cert.dist_gamma, 1.0, min_abs_phi)
         margin = dist_phi_image - dist_boundary
+        diam = _family_diameter(all_pts)
         pts = np.concatenate(all_pts)
-        diam = float(np.abs(pts[:, None] - pts[None, :]).max())
         dist_p0 = float(
             min(
                 (1.0 - np.abs(pts)).min(),

@@ -11,12 +11,16 @@ stays well conditioned for every r in (0, 1); the alternative expansions in
 powers of r alone lose digits as r approaches 1.
 
 Evaluations accept scalars or numpy arrays and broadcast elementwise.
+The public functions check their arguments (band, poles, overflow) once per
+call; the private kernels `_omega` and `_omega_log_deriv` only do the
+arithmetic and expect inputs that a caller has already checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,47 +65,37 @@ class AnnulusModulus:
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
 
-    @property
-    def n_terms(self) -> int:
-        """Number of retained product factors N, with r^(2N) <= trunc_tol."""
+    @cached_property
+    def _requested_terms(self) -> int:
+        """Factor count with r^(2N) <= trunc_tol, before max_terms applies."""
         if self.trunc_tol >= 1.0:
             return 0
-        exact = math.log(self.trunc_tol) / (2.0 * math.log(self.r))
-        n = max(0, math.ceil(exact))
-        return min(n, self.max_terms)
+        return max(0, math.ceil(math.log(self.trunc_tol) / (2.0 * math.log(self.r))))
+
+    @cached_property
+    def n_terms(self) -> int:
+        """Number of retained product factors N, with r^(2N) <= trunc_tol."""
+        return min(self._requested_terms, self.max_terms)
 
     @property
     def capped(self) -> bool:
         """True when max_terms truncated the requested factor count."""
-        if self.trunc_tol >= 1.0:
-            return False
-        exact = math.log(self.trunc_tol) / (2.0 * math.log(self.r))
-        return math.ceil(exact) > self.max_terms
+        return self._requested_terms > self.max_terms
 
 
 def _check_band(v, m: AnnulusModulus, name: str) -> None:
+    # One comparison rejects nan, infinities and zero along with the band.
     mag = np.abs(v)
-    if not np.all(np.isfinite(mag)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(mag == 0.0):
-        raise DomainError(f"{name} must be nonzero")
     lo = BAND_INNER * m.r * m.r
     hi = BAND_OUTER / m.r
-    if np.any(mag <= lo) or np.any(mag >= hi):
+    if not np.all((mag > lo) & (mag < hi)):
         raise DomainError(
-            f"|{name}| must lie in ({lo:.6g}, {hi:.6g}) for r = {m.r}"
+            f"|{name}| must be finite and lie in ({lo:.6g}, {hi:.6g}) for r = {m.r}"
         )
 
 
-def prime_omega(z, a, m: AnnulusModulus):
-    """Evaluate the annulus prime function omega(z, a).
-
-    Both arguments may be scalars or broadcastable numpy arrays.  The result
-    is (z - a) times the truncated factor product; with zero retained terms it
-    degenerates to z - a exactly.
-    """
-    _check_band(z, m, "z")
-    _check_band(a, m, "a")
+def _omega(z, a, m: AnnulusModulus):
+    """(z - a) times the truncated factor product, for checked z and a."""
     out = z - a
     n = m.n_terms
     if n:
@@ -115,6 +109,34 @@ def prime_omega(z, a, m: AnnulusModulus):
             one = 1.0 - rp
             t = t * (1.0 - rp * za) * (1.0 - rp * az) / (one * one)
         out = out * t
+    return out
+
+
+def _omega_log_deriv(z, a, m: AnnulusModulus):
+    """Termwise log derivative of `_omega`, for checked z and a off its zeros."""
+    out = 1.0 / (z - a)
+    n = m.n_terms
+    if n:
+        q = m.r * m.r
+        rp = 1.0
+        for _ in range(n):
+            rp *= q
+            f1 = 1.0 - rp * z / a
+            f2 = 1.0 - rp * a / z
+            out = out + (-rp / a) / f1 + (rp * a / (z * z)) / f2
+    return out
+
+
+def prime_omega(z, a, m: AnnulusModulus):
+    """Evaluate the annulus prime function omega(z, a).
+
+    Both arguments may be scalars or broadcastable numpy arrays.  The result
+    is (z - a) times the truncated factor product; with zero retained terms it
+    degenerates to z - a exactly.
+    """
+    _check_band(z, m, "z")
+    _check_band(a, m, "a")
+    out = _omega(z, a, m)
     if not np.all(np.isfinite(np.abs(out))):
         raise NumericalOverflowError("prime function product overflowed")
     return out
@@ -135,18 +157,11 @@ def prime_omega_log_deriv(z, a, m: AnnulusModulus):
     diff = z - a
     if np.any(np.abs(diff) < FACTOR_ZERO):
         raise PoleError("log derivative evaluated at z = a")
-    out = 1.0 / diff
-    n = m.n_terms
-    if n:
-        q = m.r * m.r
-        rp = 1.0
-        for _ in range(n):
-            rp *= q
-            f1 = 1.0 - rp * z / a
-            f2 = 1.0 - rp * a / z
-            if np.any(np.abs(f1) < FACTOR_ZERO) or np.any(np.abs(f2) < FACTOR_ZERO):
-                raise PoleError("log derivative evaluated at a zero of omega")
-            out = out + (-rp / a) / f1 + (rp * a / (z * z)) / f2
+    # q^1..q^N along a leading axis, as the product loop forms them
+    rp = np.cumprod(np.full((m.n_terms,) + (1,) * np.ndim(diff), m.r * m.r), axis=0)
+    if np.any(np.minimum(abs(1.0 - rp * z / a), abs(1.0 - rp * a / z)) < FACTOR_ZERO):
+        raise PoleError("log derivative evaluated at a zero of omega")
+    out = _omega_log_deriv(z, a, m)
     if not np.all(np.isfinite(np.abs(out))):
         raise NumericalOverflowError("log derivative overflowed")
     return out

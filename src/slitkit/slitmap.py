@@ -8,6 +8,10 @@ It sends the annulus r < |z| < 1 onto the unit disk minus a closed arc of the
 circle |w| = x, with f_x(x) = 0 and f_x(r) = -x.  The same expression extends
 holomorphically to the larger annulus r^2/x < |z| < 1/x, which is how values
 on both boundary circles and slightly beyond are obtained.
+
+Public functions check their arguments once per call and then work on the
+unchecked prime function kernels `_omega` and `_omega_log_deriv`; private
+helpers such as `_log_deriv` expect points that a public caller has checked.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
-from .prime import AnnulusModulus, prime_omega, prime_omega_log_deriv
+from .errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
+from .prime import FACTOR_ZERO, AnnulusModulus, _omega, _omega_log_deriv
 
 NEWTON_MAX_ITER = 64
 NEWTON_TOL = 1e-12
@@ -98,24 +102,32 @@ def mobius_inverse(t: MobiusReal) -> MobiusReal:
 
 def _check_extended_annulus(p: SlitMapParams, z, slack: float = 1e-12) -> None:
     mag = np.abs(z)
-    if not np.all(np.isfinite(mag)):
-        raise DomainError("z must be finite")
     lo = p.inner_extension * (1.0 - slack)
     hi = p.outer_extension * (1.0 + slack)
-    if np.any(mag <= lo) or np.any(mag >= hi):
+    if not np.all((mag > lo) & (mag < hi)):  # also false for nan and inf
         raise DomainError(
-            f"|z| must lie in ({p.inner_extension:.6g}, {p.outer_extension:.6g})"
+            "|z| must be finite and lie in "
+            f"({p.inner_extension:.6g}, {p.outer_extension:.6g})"
         )
 
 
 def f_eval(p: SlitMapParams, z):
     """Evaluate the slit map f_x on scalars or arrays of points."""
     _check_extended_annulus(p, z)
-    num = prime_omega(z, p.x, p.modulus)
-    den = prime_omega(z, 1.0 / p.x, p.modulus)
+    # r < x < 1 puts r^2/x < |z| < 1/x and both x and 1/x inside the prime
+    # function's band, so the kernels need no band checks of their own.
+    num = _omega(z, p.x, p.modulus)
+    den = _omega(z, 1.0 / p.x, p.modulus)
+    if not np.all(np.isfinite(np.abs((num, den)))):
+        raise NumericalOverflowError("prime function product overflowed")
     if np.any(np.abs(den) < 1e-300):
         raise PoleError("slit map evaluated at a pole")
     return -(num / den) / p.x
+
+
+def _log_deriv(p: SlitMapParams, z):
+    """f_x'/f_x at points that passed f_eval, away from z = x."""
+    return _omega_log_deriv(z, p.x, p.modulus) - _omega_log_deriv(z, 1.0 / p.x, p.modulus)
 
 
 def f_prime(p: SlitMapParams, z):
@@ -124,13 +136,13 @@ def f_prime(p: SlitMapParams, z):
     Uses f_x' = f_x * (dlog omega(., x) - dlog omega(., 1/x)); the simple pole
     of the first log derivative at z = x cancels against the zero of f_x, so
     the formula stays accurate arbitrarily close to x, failing only when
-    z = x exactly.
+    z = x exactly.  Every other zero of either prime function in the annulus
+    of holomorphy is a pole of f_x, which f_eval rejects.
     """
     val = f_eval(p, z)
-    ld = prime_omega_log_deriv(z, p.x, p.modulus) - prime_omega_log_deriv(
-        z, 1.0 / p.x, p.modulus
-    )
-    return val * ld
+    if np.any(np.abs(z - p.x) < FACTOR_ZERO):
+        raise PoleError("log derivative evaluated at z = a")
+    return val * _log_deriv(p, z)
 
 
 def f_prime_at_center(p: SlitMapParams) -> float:
@@ -151,12 +163,6 @@ def f_prime_at_center(p: SlitMapParams) -> float:
     return out
 
 
-def _newton_derivative(p: SlitMapParams, z):
-    if z == p.x:
-        return f_prime_at_center(p)
-    return f_prime(p, z)
-
-
 def f_inverse(p: SlitMapParams, w, seed, tol: float = NEWTON_TOL):
     """Invert the slit map by a damped-free Newton iteration from a seed.
 
@@ -169,10 +175,11 @@ def f_inverse(p: SlitMapParams, w, seed, tol: float = NEWTON_TOL):
     band_lo = p.inner_extension * 1.000001
     band_hi = p.outer_extension * 0.999999
     for _ in range(NEWTON_MAX_ITER):
-        res = f_eval(p, z) - w
+        val = f_eval(p, z)
+        res = val - w
         if abs(res) <= target:
             return z
-        z = z - res / _newton_derivative(p, z)
+        z = z - res / (f_prime_at_center(p) if z == p.x else val * _log_deriv(p, z))
         mag = abs(z)
         if not (band_lo < mag < band_hi):
             raise DomainError(
@@ -213,7 +220,8 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
 
     def h(theta: float) -> float:
         z = r * cmath.exp(1j * theta)
-        return (z * f_prime(p, z) / f_eval(p, z)).real
+        f_eval(p, z)  # checks z and the products; |z| = r < x keeps z off x
+        return (z * _log_deriv(p, z)).real
 
     lo = ENDPOINT_THETA_PAD
     hi = math.pi - ENDPOINT_THETA_PAD

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from slitkit.counterexample import (
+    ARC_SAMPLES,
     MARGIN_KEYS,
     CounterexampleConfig,
     _Phi,
+    _family_diameter,
     certificate_from_json,
     certificate_to_json,
     certify_degenerate,
@@ -195,6 +197,15 @@ class TestArcFamily:
             return float(np.abs(pts[:, None] - pts[None, :]).max())
 
         assert diam(20) <= 0.5 * diam(10) + 1e-12
+
+    def test_endpoint_diameter_matches_all_pairs(self, std_certificate):
+        cfg = CounterexampleConfig(r=0.25, x0=0.8, m=6)
+        for n in (10, 40, 160):
+            fam = make_shrinking_arcs(cfg, std_certificate.zeta_star, n)
+            samples = [arc.sample(ARC_SAMPLES) for arc in fam.arcs]
+            pts = np.concatenate(samples)
+            all_pairs = max(float(np.abs(pts - p).max()) for p in pts)
+            assert _family_diameter(samples) == all_pairs
 
     def test_geometry_error_when_disk_too_large(self, std_config, std_certificate):
         with pytest.raises(GeometryError):

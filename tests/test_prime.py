@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slitkit.errors import DomainError
+from slitkit.errors import DomainError, PoleError
 from slitkit.prime import AnnulusModulus, prime_omega, prime_omega_log_deriv, truncation_error_bound
 
 
@@ -140,3 +140,14 @@ class TestDomainChecks:
                 np.log(prime_omega(z + h, a, m)) - np.log(prime_omega(z - h, a, m))
             ) / (2.0 * h)
             assert abs(prime_omega_log_deriv(z, a, m) - fd) < 1e-7 * (1 + abs(fd))
+
+    def test_log_deriv_rejects_z_equal_a(self):
+        m = AnnulusModulus(0.5, 1e-12)
+        with pytest.raises(PoleError):
+            prime_omega_log_deriv(0.6 + 0.2j, 0.6 + 0.2j, m)
+
+    def test_log_deriv_rejects_zero_of_a_factor(self):
+        # z = q a zeroes the first factor 1 - q a/z, q = r^2 = 0.25
+        m = AnnulusModulus(0.5, 1e-12)
+        with pytest.raises(PoleError):
+            prime_omega_log_deriv(0.25, 1.0, m)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slitkit.errors import ConvergenceError, DomainError
+from slitkit.errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
 from slitkit.prime import AnnulusModulus
 from slitkit.slitmap import (
     MobiusReal,
@@ -60,6 +60,30 @@ class TestMapValues:
         p = SlitMapParams(AnnulusModulus(0.5, 1e-12), 0.75)
         z = (0.5 + mod * 0.5) * complex(math.cos(ang), math.sin(ang))
         assert abs(f_eval(p, z)) <= 1.0 + 1e-12
+
+
+class TestPolesAndOverflow:
+    def test_derivative_rejects_center(self, params):
+        with pytest.raises(PoleError):
+            f_prime(params, 0.75)
+        with pytest.raises(PoleError):
+            f_prime(params, np.array([0.6 + 0.1j, 0.75, 0.8j]))
+
+    def test_map_rejects_poles_on_extension_boundary(self, params):
+        # the zero 1/x and the factor zero r^2/x of omega(., 1/x)
+        for z in (1.0 / 0.75, 0.25 / 0.75):
+            with pytest.raises(PoleError):
+                f_eval(params, z)
+
+    def test_overflowing_products_raise(self):
+        # 256 capped factors, each divided by (1 - q^n)^2 with q near 1
+        p = SlitMapParams(AnnulusModulus(0.999, 1e-12), 0.9995)
+        with pytest.raises(NumericalOverflowError):
+            f_eval(p, 0.9995j)
+        with pytest.raises(NumericalOverflowError):
+            f_prime(p, 0.9995j)
+        with pytest.raises(NumericalOverflowError):
+            slit_endpoint(p)
 
 
 class TestDerivative:

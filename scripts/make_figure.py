@@ -15,7 +15,9 @@ def main() -> int:
     ap.add_argument("--out", default="fx.svg")
     args = ap.parse_args()
 
-    plot_map(args.r, args.x, grid=(args.n_radial, args.n_angular), out=args.out)
+    doc = plot_map(args.r, args.x, grid=(args.n_radial, args.n_angular))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(doc)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

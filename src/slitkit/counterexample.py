@@ -2,7 +2,8 @@
 
 The degenerate stage works inside the unit disk slit along an arc of radius
 x0: it compares the identity embedding against the recentered slit map
-phi_x = T_x o f_x o f_{x0}^{-1} for x slightly below x0, and certifies a
+phi_x = T_x o f_x o f_{x0}^{-1} for x slightly below x0 (built by
+`slitmap._Phi`, once per candidate x), and certifies a
 parameter x_star together with an interval and a witness point zeta_star on
 which phi_{x_star} strictly loses against the identity.  A passing
 certificate pins down, with explicit margins, a configuration where the
@@ -28,14 +29,10 @@ from .potential import harmonic_measure_upper_bound, shrink_mass_bound
 from .prime import AnnulusModulus, truncation_error_bound
 from .slitmap import (
     CONTINUATION_STEP,
-    MobiusReal,
     SlitMapParams,
-    f_eval,
+    _Phi,
     f_inverse,
     f_inverse_real_segment,
-    mobius_apply,
-    q_of,
-    slit_dist_after_mobius,
     slit_endpoint,
 )
 
@@ -103,39 +100,6 @@ class CounterexampleConfig:
         return AnnulusModulus(self.r, self.trunc_tol if trunc_tol is None else trunc_tol)
 
 
-class _Phi:
-    """Evaluator for phi_x = T_x o f_x o f_{x0}^{-1} on the real segment.
-
-    Preimages under f_{x0} are tracked by path continuation, so grids must be
-    walked in descending order starting near 0 where the preimage x0 is known.
-    """
-
-    def __init__(self, x: float, x0: float, modulus: AnnulusModulus) -> None:
-        self.x0 = x0
-        self.p0 = SlitMapParams(modulus, x0)
-        self.px = SlitMapParams(modulus, x)
-        c = float(np.real(f_eval(self.px, x0)))
-        self.mob = MobiusReal(c)
-
-    def from_preimage(self, z) -> float:
-        return float(np.real(mobius_apply(self.mob, f_eval(self.px, z))))
-
-    def single(self, xi: float) -> float:
-        z = f_inverse_real_segment(self.p0, xi)
-        return self.from_preimage(z)
-
-    def descending_grid(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and preimages along a strictly descending grid in [-x0, 0)."""
-        z = f_inverse_real_segment(self.p0, float(xis[0]))
-        vals = np.empty(xis.size)
-        pres = np.empty(xis.size)
-        for i, xi in enumerate(xis):
-            z = f_inverse(self.p0, float(xi), z).real
-            pres[i] = z
-            vals[i] = self.from_preimage(z)
-        return vals, pres
-
-
 def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     """Largest alpha such that phi_x(xi) < xi holds on [-x0, -x0 + alpha).
 
@@ -144,9 +108,9 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     step xi_scan_step and refined by bisection; when no crossing occurs
     before 0 the whole interval wins and x0 is returned.
     """
-    modulus = cfg.modulus()
     x0 = cfg.x0
-    q = q_of(x, x0, modulus)
+    phi = _Phi(x, x0, cfg.modulus())
+    q = phi.q
     if q >= -x0:
         raise DomainError(
             f"delta_of precondition q(x) < -x0 fails: q({x}) = {q}"
@@ -155,7 +119,6 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     n_steps = math.ceil(x0 / h)
     xis = -x0 + h * np.arange(n_steps + 1)
     xis = xis[xis < 0.0]
-    phi = _Phi(x, x0, modulus)
     vals, pres = phi.descending_grid(xis[::-1])
     vals, pres = vals[::-1], pres[::-1]
     psi = vals - xis
@@ -215,7 +178,7 @@ def _estimate_lipschitz(cfg: CounterexampleConfig, modulus: AnnulusModulus,
         x = cfg.x0 - g
         if x <= cfg.r:
             continue
-        pts.append((x, slit_dist_after_mobius(x, cfg.x0, modulus)))
+        pts.append((x, _Phi(x, cfg.x0, modulus).slit_dist()))
     pts.sort()
     worst = 0.0
     for (xa, da), (xb, db) in zip(pts, pts[1:]):
@@ -241,23 +204,19 @@ def _walk_candidates(cfg: CounterexampleConfig):
         x = cfg.x0 - g
         if x <= cfg.r:
             continue
-        q = q_of(x, cfg.x0, modulus)
-        if q >= -cfg.x0:
+        phi = _Phi(x, cfg.x0, modulus)
+        if phi.q >= -cfg.x0:
             continue
-        delta_raw = delta_of(x, cfg)
-        delta = min(cfg.epsilon, delta_raw)
+        delta = min(cfg.epsilon, delta_of(x, cfg))
         if lipschitz * g > delta:
             continue
-        dist_gamma = slit_dist_after_mobius(x, cfg.x0, modulus)
-        margin_ii = dist_gamma - (cfg.x0 - delta)
-        phi = _Phi(x, cfg.x0, modulus)
-        margin_i = _interior_margin(phi, cfg.x0, delta)
+        dist_gamma = phi.slit_dist()
         yield _Candidate(
             x=x,
             delta=delta,
             dist_gamma=dist_gamma,
-            margin_i=margin_i,
-            margin_ii=margin_ii,
+            margin_i=_interior_margin(phi, cfg.x0, delta),
+            margin_ii=dist_gamma - (cfg.x0 - delta),
         )
 
 
@@ -368,7 +327,7 @@ def _certificate(
     """Certificate for a fixed witness; grid quantities recomputed on demand."""
     phi = _Phi(x_star, cfg.x0, modulus)
     if dist_gamma is None:
-        dist_gamma = slit_dist_after_mobius(x_star, cfg.x0, modulus)
+        dist_gamma = phi.slit_dist()
     if margin_i is None:
         margin_i = _interior_margin(phi, cfg.x0, delta)
     phi_at_zeta = phi.single(zeta_star)
@@ -387,7 +346,7 @@ def _certificate(
         x_star=x_star,
         delta=delta,
         zeta_star=zeta_star,
-        q_at_xstar=q_of(x_star, cfg.x0, modulus),
+        q_at_xstar=phi.q,
         dist_gamma=dist_gamma,
         phi_at_zeta=phi_at_zeta,
         margins=margins,
@@ -588,28 +547,6 @@ def _family_diameter(arc_samples: list[np.ndarray]) -> float:
     return float(np.abs(ends[:, None] - ends[None, :]).max())
 
 
-def _map_arc_through_phi(phi: _Phi, arc: CircularArc) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one arc and push it through phi by continuation from its midpoint.
-
-    Returns (sample points, phi values).  The anchor preimage comes from the
-    real segment at -radius, which is the arc's intersection with the ray
-    through zeta_star.
-    """
-    pts = arc.sample(ARC_SAMPLES)
-    anchor = f_inverse_real_segment(phi.p0, -arc.radius)
-    vals = np.empty(ARC_SAMPLES, dtype=complex)
-    mid = ARC_SAMPLES // 2
-    z = complex(anchor)
-    for i in range(mid, ARC_SAMPLES):
-        z = f_inverse(phi.p0, complex(pts[i]), z)
-        vals[i] = mobius_apply(phi.mob, f_eval(phi.px, z))
-    z = complex(anchor)
-    for i in range(mid - 1, -1, -1):
-        z = f_inverse(phi.p0, complex(pts[i]), z)
-        vals[i] = mobius_apply(phi.mob, f_eval(phi.px, z))
-    return pts, vals
-
-
 def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> EvidenceTable:
     """Tabulate the shrinking-arc quantities for every n in cfg.n_list.
 
@@ -621,8 +558,7 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
     """
     if not cert.passed:
         raise DomainError("non-degenerate evidence requires a passing certificate")
-    modulus = cfg.modulus()
-    phi = _Phi(cert.x_star, cfg.x0, modulus)
+    phi = _Phi(cert.x_star, cfg.x0, cfg.modulus())
     arc0 = slit_endpoint(phi.p0)
     theta_a = math.atan2(arc0.endpoint_plus.imag, arc0.endpoint_plus.real)
     degenerate_value = min(abs(cert.phi_at_zeta), cert.dist_gamma)
@@ -635,9 +571,15 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
         all_pts = []
         min_abs_phi = math.inf
         for arc in fam.arcs:
-            pts, vals = _map_arc_through_phi(phi, arc)
+            # Continue from the arc's midpoint, on the ray through zeta_star,
+            # out to either end; the real segment gives the anchor preimage.
+            pts = arc.sample(ARC_SAMPLES)
+            mid = ARC_SAMPLES // 2
+            anchor = f_inverse_real_segment(phi.p0, -arc.radius)
+            for half in (pts[mid:], pts[mid - 1::-1]):
+                vals = phi.along(half, anchor)
+                min_abs_phi = min(min_abs_phi, float(np.abs(vals).min()))
             all_pts.append(pts)
-            min_abs_phi = min(min_abs_phi, float(np.abs(vals).min()))
         dist_phi_image = min(cert.dist_gamma, 1.0, min_abs_phi)
         margin = dist_phi_image - dist_boundary
         diam = _family_diameter(all_pts)

@@ -19,6 +19,8 @@ from .slitmap import MobiusReal, SlitMapParams, f_eval, mobius_apply
 
 NODE_CLEARANCE = 1e-12
 MATRIX_TOL = 1e-10
+# Most target-node pairs log_potential holds in memory at once.
+POTENTIAL_CHUNK_PAIRS = 2**16
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,18 @@ def log_potential(mu: DiscreteMeasure, w):
     normalization the radii solver relies on.
     """
     w_arr = np.asarray(w, dtype=complex)
-    d = np.abs(w_arr[..., None] - mu.nodes)
-    if np.any(d < NODE_CLEARANCE):
-        raise DomainError("potential evaluated on top of a node")
-    vals = -(mu.weights * np.log(d)).sum(axis=-1)
+    flat = w_arr.ravel()
+    vals = np.empty(flat.size)
+    # Bounded targets x nodes blocks; each row is summed alone, as in one block.
+    step = max(1, POTENTIAL_CHUNK_PAIRS // mu.nodes.size)
+    for i in range(0, flat.size, step):
+        d = np.abs(flat[i:i + step, None] - mu.nodes)
+        if np.any(d < NODE_CLEARANCE):
+            raise DomainError("potential evaluated on top of a node")
+        vals[i:i + step] = -(mu.weights * np.log(d)).sum(axis=-1)
     if np.isscalar(w) or w_arr.shape == ():
-        return float(vals)
-    return vals
+        return float(vals[0])
+    return vals.reshape(w_arr.shape)
 
 
 def annulus_harmonic_measure_inner(z, r: float) -> float:

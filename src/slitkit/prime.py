@@ -136,7 +136,9 @@ def prime_omega(z, a, m: AnnulusModulus):
     """
     _check_band(z, m, "z")
     _check_band(a, m, "a")
-    out = _omega(z, a, m)
+    # Let an overflowing array reach the finiteness check instead of warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _omega(z, a, m)
     if not np.all(np.isfinite(np.abs(out))):
         raise NumericalOverflowError("prime function product overflowed")
     return out

@@ -9,6 +9,11 @@ circle |w| = x, with f_x(x) = 0 and f_x(r) = -x.  The same expression extends
 holomorphically to the larger annulus r^2/x < |z| < 1/x, which is how values
 on both boundary circles and slightly beyond are obtained.
 
+The recentred comparison map phi_x = T_x o f_x o f_{x0}^{-1}, with T_x the
+real Mobius map vanishing at f_x(x0), lives here as `_Phi`; `q_of`,
+`phi_eval` and `slit_dist_after_mobius` read single values from it, and the
+certify pipeline in `counterexample` builds one per candidate x.
+
 Public functions check their arguments once per call and then work on the
 unchecked prime function kernels `_omega` and `_omega_log_deriv`; private
 helpers such as `_log_deriv` expect points that a public caller has checked.
@@ -116,8 +121,11 @@ def f_eval(p: SlitMapParams, z):
     _check_extended_annulus(p, z)
     # r < x < 1 puts r^2/x < |z| < 1/x and both x and 1/x inside the prime
     # function's band, so the kernels need no band checks of their own.
-    num = _omega(z, p.x, p.modulus)
-    den = _omega(z, 1.0 / p.x, p.modulus)
+    # An array whose products overflow would warn before the check below
+    # raises; silence numpy so every caller gets NumericalOverflowError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = _omega(z, p.x, p.modulus)
+        den = _omega(z, 1.0 / p.x, p.modulus)
     if not np.all(np.isfinite(np.abs((num, den)))):
         raise NumericalOverflowError("prime function product overflowed")
     if np.any(np.abs(den) < 1e-300):
@@ -217,14 +225,20 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
     pins the preimage angle; the endpoint is the image of that point.
     """
     r = p.r
+    lo = ENDPOINT_THETA_PAD
+    hi = math.pi - ENDPOINT_THETA_PAD
+    # f_eval checks the products at both bracket ends only.  For z = r e^{i theta}
+    # and real a > 0 every factor |1 - t e^{+-i theta}| of omega(z, x) and
+    # omega(z, 1/x) grows with theta on [0, pi], so both products are smallest
+    # at lo and largest at hi: the pole test at lo and the overflow test at hi
+    # cover every bisection point.  |z| = r < x keeps z off the zero x.
+    for theta in (lo, hi):
+        f_eval(p, r * cmath.exp(1j * theta))
 
     def h(theta: float) -> float:
         z = r * cmath.exp(1j * theta)
-        f_eval(p, z)  # checks z and the products; |z| = r < x keeps z off x
         return (z * _log_deriv(p, z)).real
 
-    lo = ENDPOINT_THETA_PAD
-    hi = math.pi - ENDPOINT_THETA_PAD
     h_lo = h(lo)
     h_hi = h(hi)
     if h_lo == 0.0:
@@ -250,16 +264,69 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
     return SlitArc(radius=abs(endpoint), endpoint_plus=endpoint, preimage_theta=root)
 
 
-def q_of(x: float, x0: float, m: AnnulusModulus) -> float:
-    """Image of -x0 under the recentered slit map comparison.
+class _Phi:
+    """The recentred comparison map phi_x = T_x o f_x o f_{x0}^{-1}.
 
-    With c = f_x(x0) and T the real Mobius map vanishing at c, the composition
-    T(f_x(f_{x0}^{-1}(.))) sends -x0 to T(f_x(r)) = T(-x) = -(x + c)/(1 + c x),
-    so no inversion is needed.
+    T_x is the real Mobius map vanishing at c = f_x(x0), so phi_x fixes 0
+    and sends the slit disk of f_{x0} onto the unit disk minus the recentred
+    slit T_x(Gamma_x).  c is computed once, on construction.  Preimages under
+    f_{x0} are tracked by path continuation, so grids must be walked in
+    descending order starting near 0 where the preimage x0 is known.
     """
-    _require_pair(x, x0, m)
-    c = float(np.real(f_eval(SlitMapParams(m, x), x0)))
-    return mobius_apply(MobiusReal(c), -x)
+
+    def __init__(self, x: float, x0: float, modulus: AnnulusModulus) -> None:
+        if not (modulus.r < x < 1.0 and modulus.r < x0 < 1.0):
+            raise DomainError("both x and x0 must lie in (r, 1)")
+        if x > x0:
+            raise DomainError("expected x <= x0")
+        self.p0 = SlitMapParams(modulus, x0)
+        self.px = SlitMapParams(modulus, x)
+        self.mob = MobiusReal(float(np.real(f_eval(self.px, x0))))
+
+    @property
+    def q(self) -> float:
+        """phi_x(-x0) = T_x(f_x(r)) = T_x(-x); needs no inversion."""
+        return mobius_apply(self.mob, -self.px.x)
+
+    def slit_dist(self) -> float:
+        """Distance from 0 to the recentred slit, |T_x| at a slit endpoint.
+
+        On the circle |w| = x the modulus |T_x(w)| is strictly decreasing in
+        Re w when the coefficient is positive, so the minimum over the slit
+        is attained at its endpoints, whose images have equal modulus.
+        """
+        return abs(mobius_apply(self.mob, slit_endpoint(self.px).endpoint_plus))
+
+    def from_preimage(self, z) -> float:
+        return float(np.real(mobius_apply(self.mob, f_eval(self.px, z))))
+
+    def single(self, xi: float) -> float:
+        return self.from_preimage(f_inverse_real_segment(self.p0, xi))
+
+    def descending_grid(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and preimages along a strictly descending grid in [-x0, 0)."""
+        z = f_inverse_real_segment(self.p0, float(xis[0]))
+        vals = np.empty(xis.size)
+        pres = np.empty(xis.size)
+        for i, xi in enumerate(xis):
+            z = f_inverse(self.p0, float(xi), z).real
+            pres[i] = z
+            vals[i] = self.from_preimage(z)
+        return vals, pres
+
+    def along(self, points, seed) -> np.ndarray:
+        """Complex values along a path of points, continued from a preimage seed."""
+        vals = np.empty(len(points), dtype=complex)
+        z = complex(seed)
+        for i, w in enumerate(points):
+            z = f_inverse(self.p0, complex(w), z)
+            vals[i] = mobius_apply(self.mob, f_eval(self.px, z))
+        return vals
+
+
+def q_of(x: float, x0: float, m: AnnulusModulus) -> float:
+    """Image of -x0 under the recentred comparison map, T_x(-x) = -(x + c)/(1 + c x)."""
+    return _Phi(x, x0, m).q
 
 
 def q_prime_at_x0(x0: float, m: AnnulusModulus) -> float:
@@ -278,31 +345,9 @@ def phi_eval(x: float, x0: float, m: AnnulusModulus, xi: float) -> float:
     The preimage is found by monotone path continuation along the real
     segment, so single-point evaluations are self-contained.
     """
-    _require_pair(x, x0, m)
-    p0 = SlitMapParams(m, x0)
-    px = SlitMapParams(m, x)
-    c = float(np.real(f_eval(px, x0)))
-    z = f_inverse_real_segment(p0, xi)
-    return float(np.real(mobius_apply(MobiusReal(c), f_eval(px, z))))
+    return _Phi(x, x0, m).single(xi)
 
 
 def slit_dist_after_mobius(x: float, x0: float, m: AnnulusModulus) -> float:
-    """Distance from 0 to the recentered slit T_x(Gamma_x).
-
-    T_x moves the slit of f_x so the composite map vanishes at the preimage
-    of x0.  On the circle |w| = x the modulus |T_x(w)| is strictly decreasing
-    in Re w when the coefficient is positive, so the minimum over the slit is
-    attained at its endpoints, whose images have equal modulus.
-    """
-    _require_pair(x, x0, m)
-    px = SlitMapParams(m, x)
-    c = float(np.real(f_eval(px, x0)))
-    arc = slit_endpoint(px)
-    return abs(mobius_apply(MobiusReal(c), arc.endpoint_plus))
-
-
-def _require_pair(x: float, x0: float, m: AnnulusModulus) -> None:
-    if not (m.r < x < 1.0 and m.r < x0 < 1.0):
-        raise DomainError("both x and x0 must lie in (r, 1)")
-    if x > x0:
-        raise DomainError("expected x <= x0")
+    """Distance from 0 to the recentred slit T_x(Gamma_x)."""
+    return _Phi(x, x0, m).slit_dist()

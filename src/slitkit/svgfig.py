@@ -47,13 +47,12 @@ def plot_map(
     r: float,
     x: float,
     grid: tuple[int, int] = (8, 12),
-    out: str | None = None,
     trunc_tol: float = 1e-12,
 ) -> str:
     """Render the annulus polar grid and its image under f_x as an SVG string.
 
     grid = (n_radial, n_angular) counts the grid circles and rays; both must
-    be at least 2.  When out is given the document is also written there.
+    be at least 2.
     """
     n_radial, n_angular = int(grid[0]), int(grid[1])
     if n_radial < 2 or n_angular < 2:
@@ -108,8 +107,4 @@ def plot_map(
     slit_pts = arc.radius * np.exp(1j * slit_theta)
     parts.append(_polyline(slit_pts, cx_right, cy, scale, "#cc3311", 3.0, "slit"))
     parts.append("</svg>")
-    doc = "\n".join(parts) + "\n"
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    return doc
+    return "\n".join(parts) + "\n"

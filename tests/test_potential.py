@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from slitkit.errors import DomainError, SingularMatrixError
 from slitkit.potential import (
+    POTENTIAL_CHUNK_PAIRS,
     DiscreteMeasure,
     PeriodMatrix,
     annulus_harmonic_measure_inner,
@@ -55,6 +56,18 @@ class TestLogPotential:
         mu = uniform_circle_measure(1.0, n_nodes=4)
         with pytest.raises(DomainError):
             log_potential(mu, mu.nodes[0])
+
+    def test_chunked_batch_matches_single_targets(self):
+        mu = uniform_circle_measure(0.7, mass=2.0, n_nodes=4096)
+        n_targets = 3 * POTENTIAL_CHUNK_PAIRS // mu.nodes.size + 5
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-1.5, 1.5, n_targets) + 1j * rng.uniform(-1.5, 1.5, n_targets)
+        batch = log_potential(mu, w.reshape(-1, 1))
+        assert batch.shape == (n_targets, 1)
+        assert np.array_equal(batch[:, 0], [log_potential(mu, t) for t in w])
+        w[-1] = mu.nodes[17]  # a node hit in the last chunk
+        with pytest.raises(DomainError):
+            log_potential(mu, w)
 
 
 class TestHarmonicMeasure:

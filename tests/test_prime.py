@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slitkit.errors import DomainError, PoleError
+from slitkit.errors import DomainError, NumericalOverflowError, PoleError
 from slitkit.prime import AnnulusModulus, prime_omega, prime_omega_log_deriv, truncation_error_bound
 
 
@@ -130,6 +130,11 @@ class TestDomainChecks:
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 prime_omega(complex(bad), 0.7, m)
+
+    def test_overflowing_array_raises(self):
+        # 256 capped factors, each divided by (1 - q^n)^2 with q near 1
+        with pytest.raises(NumericalOverflowError):
+            prime_omega(np.array([0.9995j]), 1.0 / 0.9995, AnnulusModulus(0.999))
 
     def test_log_deriv_matches_finite_differences(self):
         m = AnnulusModulus(0.5, 1e-12)

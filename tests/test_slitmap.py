@@ -16,6 +16,7 @@ from slitkit.slitmap import (
     f_prime_at_center,
     mobius_apply,
     mobius_inverse,
+    phi_eval,
     q_of,
     q_prime_at_x0,
     slit_dist_after_mobius,
@@ -84,6 +85,11 @@ class TestPolesAndOverflow:
             f_prime(p, 0.9995j)
         with pytest.raises(NumericalOverflowError):
             slit_endpoint(p)
+        # arrays raise the same error instead of a numpy overflow warning
+        with pytest.raises(NumericalOverflowError):
+            f_eval(p, np.array([0.9995j]))
+        with pytest.raises(NumericalOverflowError):
+            f_prime(p, np.array([0.9995j]))
 
 
 class TestDerivative:
@@ -208,10 +214,26 @@ class TestRecentredQuantities:
             vals = mobius_apply(t, f_eval(p, 0.25 * np.exp(1j * theta)))
             assert abs(d - float(np.abs(vals).min())) < 1e-8
 
+    def test_phi_at_x0_is_identity(self):
+        m = AnnulusModulus(0.25, 1e-12)
+        x0 = 0.8
+        for xi in (-x0, -x0 / 2.0, -0.01):
+            assert abs(phi_eval(x0, x0, m, xi) - xi) < 1e-10
+
+    def test_phi_sends_minus_x0_to_q(self):
+        m = AnnulusModulus(0.25, 1e-12)
+        x0 = 0.8
+        for x in (0.525, 0.6625, 0.79):
+            assert abs(phi_eval(x, x0, m, -x0) - q_of(x, x0, m)) < 1e-10
+
     def test_pair_ordering_enforced(self):
         m = AnnulusModulus(0.25, 1e-12)
         with pytest.raises(DomainError):
             q_of(0.85, 0.8, m)
+        with pytest.raises(DomainError):
+            phi_eval(0.85, 0.8, m, -0.4)
+        with pytest.raises(DomainError):
+            slit_dist_after_mobius(0.85, 0.8, m)
 
 
 class TestReflection:

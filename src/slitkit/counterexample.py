@@ -134,7 +134,7 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         z = f_inverse(phi.p0, mid, z).real
-        if phi.from_preimage(z) - mid < 0.0:
+        if phi(z) - mid < 0.0:
             lo = mid
         else:
             hi = mid

@@ -21,6 +21,7 @@ NODE_CLEARANCE = 1e-12
 MATRIX_TOL = 1e-10
 # Most target-node pairs log_potential holds in memory at once.
 POTENTIAL_CHUNK_PAIRS = 2**16
+COMPETITOR_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class DiscreteMeasure:
 
 
 def uniform_circle_measure(
-    radius: float, mass: float = 1.0, n_nodes: int = 4096, center: complex = 0j
+    radius: float, mass: float = 1.0, n_nodes: int = 4096
 ) -> DiscreteMeasure:
     """Equal weights on equally spaced nodes of a circle."""
     if not (math.isfinite(radius) and radius > 0.0):
@@ -60,7 +61,7 @@ def uniform_circle_measure(
     if n_nodes < 1:
         raise DomainError("need at least one node")
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    nodes = center + radius * np.exp(1j * theta)
+    nodes = radius * np.exp(1j * theta)
     weights = np.full(n_nodes, mass / n_nodes)
     return DiscreteMeasure(nodes, weights)
 
@@ -71,13 +72,12 @@ def uniform_arc_measure(
     theta_max: float,
     mass: float = 1.0,
     n_nodes: int = 1024,
-    center: complex = 0j,
 ) -> DiscreteMeasure:
     """Equal weights on equally spaced nodes of a circular arc."""
     if theta_max <= theta_min:
         raise DomainError("arc needs theta_min < theta_max")
     theta = np.linspace(theta_min, theta_max, n_nodes)
-    nodes = center + radius * np.exp(1j * theta)
+    nodes = radius * np.exp(1j * theta)
     weights = np.full(n_nodes, mass / n_nodes)
     return DiscreteMeasure(nodes, weights)
 
@@ -112,7 +112,7 @@ def annulus_harmonic_measure_inner(z, r: float) -> float:
     if not 0.0 < r < 1.0:
         raise DomainError("r must lie in (0, 1)")
     mag = np.abs(z)
-    if np.any(mag < r * (1.0 - 1e-12)) or np.any(mag > 1.0 + 1e-12):
+    if not np.all((mag >= r * (1.0 - 1e-12)) & (mag <= 1.0 + 1e-12)):  # nan too
         raise DomainError("point must lie in the closed annulus")
     return np.log(mag) / math.log(r)
 
@@ -191,7 +191,7 @@ def squeezing_annulus(z, r: float) -> float:
     if not 0.0 < r < 1.0:
         raise DomainError("r must lie in (0, 1)")
     mag = np.abs(z)
-    if np.any(mag <= r) or np.any(mag >= 1.0):
+    if not np.all((mag > r) & (mag < 1.0)):  # also false for nan
         raise DomainError("point must lie strictly inside the annulus")
     return np.maximum(mag, r / mag)
 
@@ -235,15 +235,14 @@ def competitor_boundary_dist(
     z0: float,
     trunc_tol: float = 1e-12,
     inverted: bool = False,
-    n_samples: int = 4096,
 ) -> float:
     """Sampled dist(0, boundary image) for one normalized competitor map.
 
     The competitor is T(f_x(.)) recentered so z0 maps to 0, optionally
-    precomposed with z -> r/z.  Both boundary circles of the annulus are
-    sampled with n_samples points each and the minimum modulus of the image
-    is returned.  No competitor can beat max(z0, r/z0); the canonical choices
-    x = z0 and (inverted) x = r/z0 attain it.
+    precomposed with z -> r/z.  Both boundary circles are sampled at
+    COMPETITOR_SAMPLES points each and the least image modulus is returned.
+    No competitor can beat max(z0, r/z0); the canonical choices x = z0 and
+    (inverted) x = r/z0 attain it.
     """
     m = AnnulusModulus(r, trunc_tol)
     if not r < z0 < 1.0:
@@ -252,7 +251,7 @@ def competitor_boundary_dist(
     base = r / z0 if inverted else z0
     c = float(np.real(f_eval(p, base)))
     t = MobiusReal(c)
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    theta = 2.0 * np.pi * np.arange(COMPETITOR_SAMPLES) / COMPETITOR_SAMPLES
     ring = np.exp(1j * theta)
     best = math.inf
     for rad in (1.0, r):

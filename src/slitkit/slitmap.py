@@ -16,7 +16,8 @@ certify pipeline in `counterexample` builds one per candidate x.
 
 Public functions check their arguments once per call and then work on the
 unchecked prime function kernels `_omega` and `_omega_log_deriv`; private
-helpers such as `_log_deriv` expect points that a public caller has checked.
+helpers such as `_map` expect checked points.  `f_inverse` checks its seed
+once, and `_continue` is the only loop that chains Newton solves.
 """
 
 from __future__ import annotations
@@ -105,10 +106,10 @@ def mobius_inverse(t: MobiusReal) -> MobiusReal:
     return MobiusReal(-t.c)
 
 
-def _check_extended_annulus(p: SlitMapParams, z, slack: float = 1e-12) -> None:
+def _check_extended_annulus(p: SlitMapParams, z) -> None:
     mag = np.abs(z)
-    lo = p.inner_extension * (1.0 - slack)
-    hi = p.outer_extension * (1.0 + slack)
+    lo = p.inner_extension * (1.0 - 1e-12)
+    hi = p.outer_extension * (1.0 + 1e-12)
     if not np.all((mag > lo) & (mag < hi)):  # also false for nan and inf
         raise DomainError(
             "|z| must be finite and lie in "
@@ -119,6 +120,11 @@ def _check_extended_annulus(p: SlitMapParams, z, slack: float = 1e-12) -> None:
 def f_eval(p: SlitMapParams, z):
     """Evaluate the slit map f_x on scalars or arrays of points."""
     _check_extended_annulus(p, z)
+    return _map(p, z)
+
+
+def _map(p: SlitMapParams, z):
+    """f_x at points inside the extended annulus, with overflow and pole checks."""
     # r < x < 1 puts r^2/x < |z| < 1/x and both x and 1/x inside the prime
     # function's band, so the kernels need no band checks of their own.
     # An array whose products overflow would warn before the check below
@@ -171,25 +177,25 @@ def f_prime_at_center(p: SlitMapParams) -> float:
     return out
 
 
-def f_inverse(p: SlitMapParams, w, seed, tol: float = NEWTON_TOL):
+def f_inverse(p: SlitMapParams, w, seed):
     """Invert the slit map by a damped-free Newton iteration from a seed.
 
-    Stops once |f(z) - w| <= tol * (1 + |w|).  Iterates that leave the annulus
-    of holomorphy raise a domain error; a good seed (path continuation from a
-    known preimage) keeps the orbit inside.
+    Stops once |f(z) - w| <= NEWTON_TOL * (1 + |w|).  Only the seed gets the
+    full domain check; an iterate that leaves a narrower band raises a domain
+    error.  A good seed (path continuation from a known preimage) avoids that.
     """
-    target = tol * (1.0 + abs(w))
+    target = NEWTON_TOL * (1.0 + abs(w))
     z = complex(seed)
+    _check_extended_annulus(p, z)
     band_lo = p.inner_extension * 1.000001
     band_hi = p.outer_extension * 0.999999
     for _ in range(NEWTON_MAX_ITER):
-        val = f_eval(p, z)
+        val = _map(p, z)
         res = val - w
         if abs(res) <= target:
             return z
         z = z - res / (f_prime_at_center(p) if z == p.x else val * _log_deriv(p, z))
-        mag = abs(z)
-        if not (band_lo < mag < band_hi):
+        if not band_lo < abs(z) < band_hi:  # also false for nan and inf
             raise DomainError(
                 "Newton iterate left the annulus of holomorphy; seed too far"
             )
@@ -198,7 +204,14 @@ def f_inverse(p: SlitMapParams, w, seed, tol: float = NEWTON_TOL):
     )
 
 
-def f_inverse_real_segment(p: SlitMapParams, w: float, tol: float = NEWTON_TOL) -> float:
+def _continue(p: SlitMapParams, targets, z):
+    """Yield the preimage of each target in turn, seeding Newton with the last."""
+    for w in targets:
+        z = f_inverse(p, w, z)
+        yield z
+
+
+def f_inverse_real_segment(p: SlitMapParams, w: float) -> float:
     """Preimage of a real target in [f(r), 0] = [-x, 0] on the segment [r, x].
 
     Marches the target from 0 toward w in steps of at most CONTINUATION_STEP,
@@ -207,12 +220,9 @@ def f_inverse_real_segment(p: SlitMapParams, w: float, tol: float = NEWTON_TOL) 
     """
     if not (-p.x - 1e-9 <= w <= 1e-9):
         raise DomainError(f"real inversion target must lie in [-x, 0], got {w}")
-    z = p.x
     n_steps = max(1, math.ceil(abs(w) / CONTINUATION_STEP))
-    for k in range(1, n_steps + 1):
-        wk = w * k / n_steps
-        z = f_inverse(p, wk, z, tol=tol).real
-    return z
+    *_, z = _continue(p, (w * k / n_steps for k in range(1, n_steps + 1)), p.x)
+    return z.real
 
 
 def slit_endpoint(p: SlitMapParams) -> SlitArc:
@@ -275,8 +285,6 @@ class _Phi:
     """
 
     def __init__(self, x: float, x0: float, modulus: AnnulusModulus) -> None:
-        if not (modulus.r < x < 1.0 and modulus.r < x0 < 1.0):
-            raise DomainError("both x and x0 must lie in (r, 1)")
         if x > x0:
             raise DomainError("expected x <= x0")
         self.p0 = SlitMapParams(modulus, x0)
@@ -297,31 +305,24 @@ class _Phi:
         """
         return abs(mobius_apply(self.mob, slit_endpoint(self.px).endpoint_plus))
 
-    def from_preimage(self, z) -> float:
-        return float(np.real(mobius_apply(self.mob, f_eval(self.px, z))))
+    def __call__(self, z):
+        """T_x(f_x(z)) at real preimages z under f_{x0}, scalar or array."""
+        return np.real(mobius_apply(self.mob, f_eval(self.px, z)))
 
     def single(self, xi: float) -> float:
-        return self.from_preimage(f_inverse_real_segment(self.p0, xi))
+        return float(self(f_inverse_real_segment(self.p0, xi)))
 
     def descending_grid(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and preimages along a strictly descending grid in [-x0, 0)."""
-        z = f_inverse_real_segment(self.p0, float(xis[0]))
-        vals = np.empty(xis.size)
-        pres = np.empty(xis.size)
-        for i, xi in enumerate(xis):
-            z = f_inverse(self.p0, float(xi), z).real
-            pres[i] = z
-            vals[i] = self.from_preimage(z)
-        return vals, pres
+        seed = f_inverse_real_segment(self.p0, float(xis[0]))
+        pres = np.array([z.real for z in _continue(self.p0, map(float, xis), seed)])
+        return self(pres), pres
 
     def along(self, points, seed) -> np.ndarray:
         """Complex values along a path of points, continued from a preimage seed."""
-        vals = np.empty(len(points), dtype=complex)
-        z = complex(seed)
-        for i, w in enumerate(points):
-            z = f_inverse(self.p0, complex(w), z)
-            vals[i] = mobius_apply(self.mob, f_eval(self.px, z))
-        return vals
+        # Point by point: numpy's complex division rounds differently from Python's.
+        return np.array([mobius_apply(self.mob, f_eval(self.px, z))
+                         for z in _continue(self.p0, map(complex, points), seed)])
 
 
 def q_of(x: float, x0: float, m: AnnulusModulus) -> float:

@@ -59,6 +59,16 @@ class TestErrorPaths:
         assert code == 1
         assert "r must lie" in err
 
+    @pytest.mark.parametrize("command, message", [
+        ("squeeze", "point must lie strictly inside the annulus"),
+        ("radii", "point must lie in the closed annulus"),
+    ], ids=["squeeze", "radii"])
+    def test_nan_point_exits_one(self, capsys, command, message):
+        code, out, err = run_cli(capsys, [command, "--r", "0.25", "--z", "nan,0"])
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["squeeze", "--r", "0.25"])

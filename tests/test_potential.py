@@ -84,6 +84,8 @@ class TestHarmonicMeasure:
     def test_rejects_outside_closed_annulus(self):
         with pytest.raises(DomainError):
             annulus_harmonic_measure_inner(0.1, 0.3)
+        with pytest.raises(DomainError, match="closed annulus"):
+            annulus_harmonic_measure_inner(np.array([0.5, np.nan]), 0.3)
 
 
 class TestPeriods:
@@ -149,6 +151,10 @@ class TestSqueezing:
             squeezing_annulus(1.0 + 0j, 0.25)
         with pytest.raises(DomainError):
             squeezing_annulus(0.25 + 0j, 0.25)
+        with pytest.raises(DomainError, match="strictly inside"):
+            squeezing_annulus(np.array([0.5, np.nan]), 0.25)
+        with pytest.raises(DomainError, match="strictly inside"):
+            squeezing_annulus(complex(math.nan, 0.0), 0.25)
 
     @settings(max_examples=80, deadline=None)
     @given(t=st.floats(0.26, 0.99))

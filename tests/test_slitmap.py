@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slitkit import slitmap
 from slitkit.errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
 from slitkit.prime import AnnulusModulus
 from slitkit.slitmap import (
@@ -21,6 +22,7 @@ from slitkit.slitmap import (
     q_prime_at_x0,
     slit_dist_after_mobius,
     slit_endpoint,
+    _Phi,
 )
 
 
@@ -168,6 +170,23 @@ class TestInverse:
     def test_diverging_seed_raises(self, params):
         with pytest.raises((ConvergenceError, DomainError)):
             f_inverse(params, 5.0 + 0j, 0.8)
+        with pytest.raises(DomainError):
+            f_inverse(params, -0.3, 2.0)  # seed outside the extended annulus
+
+    def test_checks_domain_once_per_solve(self, params, monkeypatch):
+        z = 0.6 * complex(math.cos(1.0), math.sin(1.0))
+        w = f_eval(params, z)
+        calls = []
+        check = slitmap._check_extended_annulus
+
+        def counting(p, v):
+            calls.append(v)
+            check(p, v)
+
+        monkeypatch.setattr(slitmap, "_check_extended_annulus", counting)
+        back = f_inverse(params, w, z * (1.0 + 1e-4))
+        assert abs(back - z) < 1e-10
+        assert len(calls) == 1
 
 
 class TestMobius:
@@ -234,6 +253,19 @@ class TestRecentredQuantities:
             phi_eval(0.85, 0.8, m, -0.4)
         with pytest.raises(DomainError):
             slit_dist_after_mobius(0.85, 0.8, m)
+
+    def test_pair_outside_annulus_rejected(self):
+        m = AnnulusModulus(0.25, 1e-12)
+        for x, x0 in ((0.2, 0.8), (0.5, 1.2), (math.nan, 0.8), (0.5, math.nan)):
+            with pytest.raises(DomainError):
+                q_of(x, x0, m)
+
+    def test_grid_values_match_pointwise_evaluation(self):
+        phi = _Phi(0.73125, 0.8, AnnulusModulus(0.25))
+        xis = -0.8 + 0.8 * np.arange(1000)[::-1] / 1000.0
+        _, pres = phi.descending_grid(xis)
+        assert pres.shape == (1000,) and np.all(np.diff(pres) < 0.0)
+        assert np.array_equal(phi(pres), [phi(float(z)) for z in pres])
 
 
 class TestReflection:

@@ -30,9 +30,9 @@ from .prime import AnnulusModulus, truncation_error_bound
 from .slitmap import (
     CONTINUATION_STEP,
     SlitMapParams,
+    _path,
     _Phi,
     f_inverse,
-    f_inverse_real_segment,
     slit_endpoint,
 )
 
@@ -468,6 +468,14 @@ def make_shrinking_arcs(cfg: CounterexampleConfig, zeta_star: float, n: int) -> 
     radius 1/n around zeta_star, which itself must clear both the slit of
     the reference map and the unit circle.
     """
+    arc0 = slit_endpoint(SlitMapParams(cfg.modulus(), cfg.x0))
+    theta_a = math.atan2(arc0.endpoint_plus.imag, arc0.endpoint_plus.real)
+    return _shrinking_arcs(cfg, zeta_star, n, theta_a)
+
+
+def _shrinking_arcs(cfg: CounterexampleConfig, zeta_star: float, n: int,
+                    theta_a: float) -> ArcFamily:
+    """`make_shrinking_arcs` for a reference slit whose upper endpoint has angle theta_a."""
     if n < 1:
         raise DomainError("n must be a positive integer")
     if not (math.isfinite(zeta_star) and -cfg.x0 < zeta_star < 0.0):
@@ -476,9 +484,6 @@ def make_shrinking_arcs(cfg: CounterexampleConfig, zeta_star: float, n: int) -> 
     clearance = 1.0 / n
     if 1.0 - az <= clearance:
         raise GeometryError("disk around zeta_star reaches the unit circle")
-    p0 = SlitMapParams(cfg.modulus(), cfg.x0)
-    arc0 = slit_endpoint(p0)
-    theta_a = math.atan2(arc0.endpoint_plus.imag, arc0.endpoint_plus.real)
     slit_dist = float(
         _point_to_arc_dist(
             np.asarray(complex(zeta_star)), cfg.x0, theta_a, 2.0 * math.pi - theta_a
@@ -562,20 +567,23 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
     arc0 = slit_endpoint(phi.p0)
     theta_a = math.atan2(arc0.endpoint_plus.imag, arc0.endpoint_plus.real)
     degenerate_value = min(abs(cert.phi_at_zeta), cert.dist_gamma)
+    families = [_shrinking_arcs(cfg, cert.zeta_star, n, theta_a) for n in cfg.n_list]
+    # Every arc is continued from its midpoint, on the ray through zeta_star,
+    # out to either end.  The preimages of the midpoints -rho come from one
+    # path descending from 0, whose preimage is x0, through every radius.
+    radii = np.sort([a.radius for fam in families for a in fam.arcs])
+    anchor_of = dict(zip(radii.tolist(), _path(phi.p0, -radii, phi.p0.x)))
     rows = []
     fitted_c = 0.0
     n_min = None
-    for n in cfg.n_list:
-        fam = make_shrinking_arcs(cfg, cert.zeta_star, n)
+    for n, fam in zip(cfg.n_list, families):
         dist_boundary = min(cfg.x0, min(a.radius for a in fam.arcs))
         all_pts = []
         min_abs_phi = math.inf
         for arc in fam.arcs:
-            # Continue from the arc's midpoint, on the ray through zeta_star,
-            # out to either end; the real segment gives the anchor preimage.
             pts = arc.sample(ARC_SAMPLES)
             mid = ARC_SAMPLES // 2
-            anchor = f_inverse_real_segment(phi.p0, -arc.radius)
+            anchor = anchor_of[arc.radius]
             for half in (pts[mid:], pts[mid - 1::-1]):
                 vals = phi.along(half, anchor)
                 min_abs_phi = min(min_abs_phi, float(np.abs(vals).min()))

@@ -17,7 +17,10 @@ certify pipeline in `counterexample` builds one per candidate x.
 Public functions check their arguments once per call and then work on the
 unchecked prime function kernels `_omega` and `_omega_log_deriv`; private
 helpers such as `_map` expect checked points.  `f_inverse` checks its seed
-once, and `_continue` is the only loop that chains Newton solves.
+once.  `_path` is the only continuation: scalar Newton (`f_inverse`) runs
+only along its chain of anchors, through `_march`, and `_newton` then solves
+every target of the path in one array call seeded from those anchors.
+`f_inverse_real_segment` is the one other user of `_march`.
 """
 
 from __future__ import annotations
@@ -204,11 +207,78 @@ def f_inverse(p: SlitMapParams, w, seed):
     )
 
 
-def _continue(p: SlitMapParams, targets, z):
-    """Yield the preimage of each target in turn, seeding Newton with the last."""
+def _newton(p: SlitMapParams, w, z):
+    """`f_inverse` on 1-D arrays: Newton for every target w from its seed z at once.
+
+    Each point stops at the first iterate that meets f_inverse's tolerance,
+    and later steps touch only the points still moving.  The seed check, the
+    band test on every iterate, the errors and their messages are those of
+    f_inverse.  Returns a new complex array.
+    """
+    w = np.asarray(w)
+    z = np.array(z, dtype=complex)
+    _check_extended_annulus(p, z)
+    tol = NEWTON_TOL * (1.0 + np.abs(w))
+    band_lo = p.inner_extension * 1.000001
+    band_hi = p.outer_extension * 0.999999
+    live = np.arange(z.size)
+    # A zero derivative or an overflowing step gives inf or nan, which the
+    # band test rejects, instead of a numpy warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            zl = z[live]
+            val = _map(p, zl)
+            res = val - w[live]
+            moving = ~(np.abs(res) <= tol[live])  # nan keeps moving, as in f_inverse
+            if not moving.any():
+                return z
+            live, zl, val, res = live[moving], zl[moving], val[moving], res[moving]
+            deriv = val * _log_deriv(p, zl)
+            deriv[zl == p.x] = f_prime_at_center(p)
+            zl = zl - res / deriv
+            mag = np.abs(zl)
+            if not np.all((mag > band_lo) & (mag < band_hi)):
+                raise DomainError(
+                    "Newton iterate left the annulus of holomorphy; seed too far"
+                )
+            z[live] = zl
+    raise ConvergenceError(
+        f"slit map inversion did not reach tolerance in {NEWTON_MAX_ITER} steps"
+    )
+
+
+def _march(p: SlitMapParams, targets, z) -> list:
+    """Scalar Newton through targets in turn, seeding each solve with the last."""
+    out = []
     for w in targets:
         z = f_inverse(p, w, z)
-        yield z
+        out.append(z)
+    return out
+
+
+def _path(p: SlitMapParams, targets, z) -> np.ndarray:
+    """Preimages of a sequence of targets, continued from the preimage z.
+
+    An anchor starts at f(z).  Whenever the next target lies more than
+    CONTINUATION_STEP from the anchor, the anchor steps toward it by
+    CONTINUATION_STEP until it is within one step; `_march` solves the
+    anchors in order.  Every target is then solved in one `_newton` call,
+    seeded with the preimage of its anchor, so no solve starts more than one
+    step from its target.
+    """
+    targets = np.asarray(targets)
+    anchor = complex(_map(p, z))
+    anchors = []
+    which = []
+    for t in targets.tolist():
+        gap = t - anchor
+        while abs(gap) > CONTINUATION_STEP:
+            anchor += CONTINUATION_STEP * gap / abs(gap)
+            anchors.append(anchor)
+            gap = t - anchor
+        which.append(len(anchors))
+    seeds = np.array([z, *_march(p, anchors, z)], dtype=complex)
+    return _newton(p, targets, seeds[which])
 
 
 def f_inverse_real_segment(p: SlitMapParams, w: float) -> float:
@@ -221,8 +291,7 @@ def f_inverse_real_segment(p: SlitMapParams, w: float) -> float:
     if not (-p.x - 1e-9 <= w <= 1e-9):
         raise DomainError(f"real inversion target must lie in [-x, 0], got {w}")
     n_steps = max(1, math.ceil(abs(w) / CONTINUATION_STEP))
-    *_, z = _continue(p, (w * k / n_steps for k in range(1, n_steps + 1)), p.x)
-    return z.real
+    return _march(p, (w * k / n_steps for k in range(1, n_steps + 1)), p.x)[-1].real
 
 
 def slit_endpoint(p: SlitMapParams) -> SlitArc:
@@ -280,8 +349,8 @@ class _Phi:
     T_x is the real Mobius map vanishing at c = f_x(x0), so phi_x fixes 0
     and sends the slit disk of f_{x0} onto the unit disk minus the recentred
     slit T_x(Gamma_x).  c is computed once, on construction.  Preimages under
-    f_{x0} are tracked by path continuation, so grids must be walked in
-    descending order starting near 0 where the preimage x0 is known.
+    f_{x0} come from `_path`, continued from a known preimage: x0 for grids,
+    which descend from near 0, or a given seed for complex paths.
     """
 
     def __init__(self, x: float, x0: float, modulus: AnnulusModulus) -> None:
@@ -314,15 +383,12 @@ class _Phi:
 
     def descending_grid(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and preimages along a strictly descending grid in [-x0, 0)."""
-        seed = f_inverse_real_segment(self.p0, float(xis[0]))
-        pres = np.array([z.real for z in _continue(self.p0, map(float, xis), seed)])
+        pres = _path(self.p0, xis, self.p0.x).real
         return self(pres), pres
 
     def along(self, points, seed) -> np.ndarray:
         """Complex values along a path of points, continued from a preimage seed."""
-        # Point by point: numpy's complex division rounds differently from Python's.
-        return np.array([mobius_apply(self.mob, f_eval(self.px, z))
-                         for z in _continue(self.p0, map(complex, points), seed)])
+        return mobius_apply(self.mob, f_eval(self.px, _path(self.p0, points, seed)))
 
 
 def q_of(x: float, x0: float, m: AnnulusModulus) -> float:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slitkit import slitmap
+from slitkit.counterexample import CounterexampleConfig, make_shrinking_arcs
 from slitkit.errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
 from slitkit.prime import AnnulusModulus
 from slitkit.slitmap import (
@@ -187,6 +189,74 @@ class TestInverse:
         back = f_inverse(params, w, z * (1.0 + 1e-4))
         assert abs(back - z) < 1e-10
         assert len(calls) == 1
+
+
+class TestArrayNewton:
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.8])
+    def test_matches_scalar_inverse(self, r):
+        p = SlitMapParams(AnnulusModulus(r, 1e-12), 0.5 * (r + 1.0))
+        rng = np.random.default_rng(31)
+        mag = rng.uniform(r + 0.2 * (1.0 - r), 1.0 - 0.2 * (1.0 - r), 200)
+        z = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+        w = f_eval(p, z)
+        # seeds: preimages of points one continuation step away from w
+        away = w + slitmap.CONTINUATION_STEP * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+        seeds = np.array([f_inverse(p, a, zz) for a, zz in zip(away, z)])
+        got = slitmap._newton(p, w, seeds)
+        assert got.shape == (200,)
+        assert np.all(np.abs(f_eval(p, got) - w) <= slitmap.NEWTON_TOL * (1.0 + np.abs(w)))
+        scalar = np.array([f_inverse(p, ww, s) for ww, s in zip(w, seeds)])
+        assert np.abs(got - scalar).max() < 1e-10
+
+    def test_seed_at_center_converges_without_warnings(self, params):
+        w = np.array([-0.005, 0.003j, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1/(z - x) at z = x must stay silent
+            got = slitmap._newton(params, w, np.full(3, 0.75))
+        assert got[2] == 0.75
+        for zz, ww in zip(got, w):
+            assert abs(zz - f_inverse(params, ww, 0.75)) < 1e-12
+
+    def test_far_seed_raises_scalar_error(self, params):
+        z = 0.6 * np.exp(1j * np.linspace(0.5, 2.5, 20))
+        w = f_eval(params, z)
+        w[7], z[7] = 5.0, 0.8  # f_inverse(params, 5.0, 0.8) leaves the band
+        with pytest.raises(DomainError, match="left the annulus of holomorphy"):
+            slitmap._newton(params, w, z)
+
+    def test_seed_outside_extended_annulus_raises(self, params):
+        w = f_eval(params, np.array([0.6, 0.7]))
+        with pytest.raises(DomainError, match="must be finite and lie in"):
+            slitmap._newton(params, w, np.array([0.6, 2.0]))
+
+    def test_grid_uses_few_scalar_solves(self, monkeypatch):
+        phi = _Phi(0.73125, 0.8, AnnulusModulus(0.25))
+        xis = -0.8 + 0.8 * np.arange(1000)[::-1] / 1000.0
+        calls = []
+        scalar = slitmap.f_inverse
+
+        def counting(p, w, seed):
+            calls.append(w)
+            return scalar(p, w, seed)
+
+        monkeypatch.setattr(slitmap, "f_inverse", counting)
+        _, pres = phi.descending_grid(xis)
+        assert len(calls) <= math.ceil(0.8 / slitmap.CONTINUATION_STEP) + 2
+        assert np.all(np.abs(f_eval(phi.p0, pres) - xis) <= slitmap.NEWTON_TOL * (1.0 + np.abs(xis)))
+
+    def test_arc_matches_scalar_continuation(self):
+        cfg = CounterexampleConfig(r=0.25, x0=0.8, m=4)
+        phi = _Phi(0.73125, cfg.x0, cfg.modulus())
+        fam = make_shrinking_arcs(cfg, -0.55625, 10)
+        for arc in fam.arcs:
+            pts = arc.sample(512)
+            anchor = f_inverse_real_segment(phi.p0, -arc.radius)
+            for half in (pts[256:], pts[255::-1]):
+                z, ref = anchor, []
+                for w in half:
+                    z = f_inverse(phi.p0, complex(w), z)
+                    ref.append(mobius_apply(phi.mob, f_eval(phi.px, z)))
+                assert np.abs(phi.along(half, anchor) - np.array(ref)).max() < 1e-11
 
 
 class TestMobius:

@@ -108,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trunc-tol", type=float, default=None,
                         help="prime function truncation tolerance "
                              f"(default ${ENV_TRUNC_TOL} or {DEFAULT_TRUNC_TOL})")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; results never depend on this")
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--format", default="text", choices=("text", "json"),
                         help="scalar output format")

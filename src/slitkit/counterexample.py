@@ -27,14 +27,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, GeometryError
 from .potential import harmonic_measure_upper_bound, shrink_mass_bound
 from .prime import AnnulusModulus, truncation_error_bound
-from .slitmap import (
-    CONTINUATION_STEP,
-    SlitMapParams,
-    _path,
-    _Phi,
-    f_inverse,
-    slit_endpoint,
-)
+from .slitmap import SlitMapParams, _Phi, f_inverse, slit_endpoint
 
 MARGIN_KEYS = (
     "lemma61_i",
@@ -81,8 +74,6 @@ class CounterexampleConfig:
             raise DomainError(f"epsilon must lie in (0, {eps_max}]")
         if self.x_grid_step <= 0.0 or self.xi_scan_step <= 0.0:
             raise DomainError("grid steps must be positive")
-        if self.xi_scan_step > CONTINUATION_STEP:
-            raise DomainError(f"xi_scan_step must not exceed {CONTINUATION_STEP}")
         if self.tol <= 0.0:
             raise DomainError("tol must be positive")
         n_list = tuple(int(n) for n in self.n_list)
@@ -119,8 +110,7 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     n_steps = math.ceil(x0 / h)
     xis = -x0 + h * np.arange(n_steps + 1)
     xis = xis[xis < 0.0]
-    vals, pres = phi.descending_grid(xis[::-1])
-    vals, pres = vals[::-1], pres[::-1]
+    vals, pres = phi.grid(xis)
     psi = vals - xis
     cross = None
     for i in range(1, xis.size):
@@ -158,8 +148,8 @@ def _interior_margin(phi: _Phi, x0: float, delta: float) -> float:
     """Minimum of xi - phi(xi) over the interior grid of (-x0, -x0 + delta)."""
     j = np.arange(1, INTERIOR_GRID_POINTS + 1)
     grid = -x0 + delta * j / (INTERIOR_GRID_POINTS + 1.0)
-    vals, _ = phi.descending_grid(grid[::-1])
-    return float(np.min(grid - vals[::-1]))
+    vals, _ = phi.grid(grid)
+    return float(np.min(grid - vals))
 
 
 def _estimate_lipschitz(cfg: CounterexampleConfig, modulus: AnnulusModulus,
@@ -568,11 +558,6 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
     theta_a = math.atan2(arc0.endpoint_plus.imag, arc0.endpoint_plus.real)
     degenerate_value = min(abs(cert.phi_at_zeta), cert.dist_gamma)
     families = [_shrinking_arcs(cfg, cert.zeta_star, n, theta_a) for n in cfg.n_list]
-    # Every arc is continued from its midpoint, on the ray through zeta_star,
-    # out to either end.  The preimages of the midpoints -rho come from one
-    # path descending from 0, whose preimage is x0, through every radius.
-    radii = np.sort([a.radius for fam in families for a in fam.arcs])
-    anchor_of = dict(zip(radii.tolist(), _path(phi.p0, -radii, phi.p0.x)))
     rows = []
     fitted_c = 0.0
     n_min = None
@@ -582,11 +567,7 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
         min_abs_phi = math.inf
         for arc in fam.arcs:
             pts = arc.sample(ARC_SAMPLES)
-            mid = ARC_SAMPLES // 2
-            anchor = anchor_of[arc.radius]
-            for half in (pts[mid:], pts[mid - 1::-1]):
-                vals = phi.along(half, anchor)
-                min_abs_phi = min(min_abs_phi, float(np.abs(vals).min()))
+            min_abs_phi = min(min_abs_phi, float(np.abs(phi.along(pts)).min()))
             all_pts.append(pts)
         dist_phi_image = min(cert.dist_gamma, 1.0, min_abs_phi)
         margin = dist_phi_image - dist_boundary

@@ -17,10 +17,10 @@ certify pipeline in `counterexample` builds one per candidate x.
 Public functions check their arguments once per call and then work on the
 unchecked prime function kernels `_omega` and `_omega_log_deriv`; private
 helpers such as `_map` expect checked points.  `f_inverse` checks its seed
-once.  `_path` is the only continuation: scalar Newton (`f_inverse`) runs
-only along its chain of anchors, through `_march`, and `_newton` then solves
-every target of the path in one array call seeded from those anchors.
-`f_inverse_real_segment` is the one other user of `_march`.
+once.  Single targets use scalar Newton (`f_inverse`), which
+`f_inverse_real_segment` continues along the real segment from x.  Grids
+and arcs are solved by `_newton` in one array call, seeded by `_seeds` from
+a forward table of f_x on [r, x].
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .prime import FACTOR_ZERO, AnnulusModulus, _omega, _omega_log_deriv
 NEWTON_MAX_ITER = 64
 NEWTON_TOL = 1e-12
 CONTINUATION_STEP = 0.01
+SEED_TABLE_POINTS = 64
 ENDPOINT_THETA_PAD = 1e-9
 ENDPOINT_THETA_WIDTH = 1e-13
 
@@ -247,38 +248,17 @@ def _newton(p: SlitMapParams, w, z):
     )
 
 
-def _march(p: SlitMapParams, targets, z) -> list:
-    """Scalar Newton through targets in turn, seeding each solve with the last."""
-    out = []
-    for w in targets:
-        z = f_inverse(p, w, z)
-        out.append(z)
-    return out
+def _seeds(p: SlitMapParams, w) -> np.ndarray:
+    """Newton seeds on [r, x] for targets w: the point whose image is -|w|.
 
-
-def _path(p: SlitMapParams, targets, z) -> np.ndarray:
-    """Preimages of a sequence of targets, continued from the preimage z.
-
-    An anchor starts at f(z).  Whenever the next target lies more than
-    CONTINUATION_STEP from the anchor, the anchor steps toward it by
-    CONTINUATION_STEP until it is within one step; `_march` solves the
-    anchors in order.  Every target is then solved in one `_newton` call,
-    seeded with the preimage of its anchor, so no solve starts more than one
-    step from its target.
+    f_x is real and increasing on [r, x], from f(r) = -x to f(x) = 0, so one
+    `_map` on SEED_TABLE_POINTS Chebyshev points of the segment tabulates its
+    inverse and `np.interp` reads every seed off the table.
     """
-    targets = np.asarray(targets)
-    anchor = complex(_map(p, z))
-    anchors = []
-    which = []
-    for t in targets.tolist():
-        gap = t - anchor
-        while abs(gap) > CONTINUATION_STEP:
-            anchor += CONTINUATION_STEP * gap / abs(gap)
-            anchors.append(anchor)
-            gap = t - anchor
-        which.append(len(anchors))
-    seeds = np.array([z, *_march(p, anchors, z)], dtype=complex)
-    return _newton(p, targets, seeds[which])
+    theta = np.pi * np.arange(SEED_TABLE_POINTS) / (SEED_TABLE_POINTS - 1)
+    points = p.r + (p.x - p.r) * 0.5 * (1.0 - np.cos(theta))
+    values = _map(p, points).real
+    return np.interp(-np.abs(w), values, points)
 
 
 def f_inverse_real_segment(p: SlitMapParams, w: float) -> float:
@@ -291,7 +271,10 @@ def f_inverse_real_segment(p: SlitMapParams, w: float) -> float:
     if not (-p.x - 1e-9 <= w <= 1e-9):
         raise DomainError(f"real inversion target must lie in [-x, 0], got {w}")
     n_steps = max(1, math.ceil(abs(w) / CONTINUATION_STEP))
-    return _march(p, (w * k / n_steps for k in range(1, n_steps + 1)), p.x)[-1].real
+    z = p.x
+    for k in range(1, n_steps + 1):
+        z = f_inverse(p, w * k / n_steps, z)
+    return z.real
 
 
 def slit_endpoint(p: SlitMapParams) -> SlitArc:
@@ -349,8 +332,8 @@ class _Phi:
     T_x is the real Mobius map vanishing at c = f_x(x0), so phi_x fixes 0
     and sends the slit disk of f_{x0} onto the unit disk minus the recentred
     slit T_x(Gamma_x).  c is computed once, on construction.  Preimages under
-    f_{x0} come from `_path`, continued from a known preimage: x0 for grids,
-    which descend from near 0, or a given seed for complex paths.
+    f_{x0} come from `f_inverse_real_segment` for a single point and from one
+    `_newton` call seeded by `_seeds` for a grid or an arc.
     """
 
     def __init__(self, x: float, x0: float, modulus: AnnulusModulus) -> None:
@@ -381,14 +364,15 @@ class _Phi:
     def single(self, xi: float) -> float:
         return float(self(f_inverse_real_segment(self.p0, xi)))
 
-    def descending_grid(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and preimages along a strictly descending grid in [-x0, 0)."""
-        pres = _path(self.p0, xis, self.p0.x).real
+    def grid(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and preimages at real points of [-x0, 0], in any order."""
+        pres = _newton(self.p0, xis, _seeds(self.p0, xis)).real
         return self(pres), pres
 
-    def along(self, points, seed) -> np.ndarray:
-        """Complex values along a path of points, continued from a preimage seed."""
-        return mobius_apply(self.mob, f_eval(self.px, _path(self.p0, points, seed)))
+    def along(self, points) -> np.ndarray:
+        """Complex values at points near the real segment [-x0, 0]."""
+        pres = _newton(self.p0, points, _seeds(self.p0, points))
+        return mobius_apply(self.mob, f_eval(self.px, pres))
 
 
 def q_of(x: float, x0: float, m: AnnulusModulus) -> float:

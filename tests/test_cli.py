@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,31 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    """Every `$ slitkit ...` line of the README's "Command line" block that
+    shows output prints exactly that output; `...` elides the rest."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:])
+            assert argv[0] == "slitkit"
+            examples.append((argv[1:], []))
+        else:
+            examples[-1][1].append(line)
+    examples = [(argv, shown) for argv, shown in examples if shown]
+    assert len(examples) >= 5
+    for argv, shown in examples:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        lines = out.splitlines()
+        if shown[-1] == "...":
+            shown = shown[:-1]
+            lines = lines[:len(shown)]
+        assert lines == shown, " ".join(argv)
 
 
 class TestScalarCommands:
@@ -108,13 +135,6 @@ class TestDefaults:
              "--trunc-tol", "1e-12"],
         )
         assert forced == exact
-
-    def test_threads_flag_does_not_change_output(self, capsys):
-        _, one, _ = run_cli(capsys, ["squeeze", "--r", "0.25", "--z", "0.7,0.1"])
-        _, four, _ = run_cli(
-            capsys, ["squeeze", "--r", "0.25", "--z", "0.7,0.1", "--threads", "4"]
-        )
-        assert one == four
 
 
 class TestCertifyExitCodes:

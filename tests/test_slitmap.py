@@ -240,23 +240,37 @@ class TestArrayNewton:
             return scalar(p, w, seed)
 
         monkeypatch.setattr(slitmap, "f_inverse", counting)
-        _, pres = phi.descending_grid(xis)
-        assert len(calls) <= math.ceil(0.8 / slitmap.CONTINUATION_STEP) + 2
+        _, pres = phi.grid(xis)
+        assert calls == []
         assert np.all(np.abs(f_eval(phi.p0, pres) - xis) <= slitmap.NEWTON_TOL * (1.0 + np.abs(xis)))
 
+    @pytest.mark.parametrize("r", [0.02, 0.1, 0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("near", ["r", "1"])
+    def test_table_seeds_reach_every_real_target(self, r, near):
+        x = r + 0.02 * (1.0 - r) if near == "r" else 0.99
+        p = SlitMapParams(AnnulusModulus(r, 1e-12), x)
+        w = np.linspace(-x, 0.0, 2001)
+        seeds = slitmap._seeds(p, w)
+        assert np.all((seeds >= r) & (seeds <= x))
+        assert np.abs(f_eval(p, seeds) - w).max() <= 0.01
+        got = slitmap._newton(p, w, seeds)
+        assert np.all(np.abs(f_eval(p, got) - w) <= slitmap.NEWTON_TOL * (1.0 + np.abs(w)))
+
     def test_arc_matches_scalar_continuation(self):
+        # At n = 5 an arc's half-length 1/(8n) is 2.5 continuation steps.
         cfg = CounterexampleConfig(r=0.25, x0=0.8, m=4)
         phi = _Phi(0.73125, cfg.x0, cfg.modulus())
-        fam = make_shrinking_arcs(cfg, -0.55625, 10)
-        for arc in fam.arcs:
-            pts = arc.sample(512)
-            anchor = f_inverse_real_segment(phi.p0, -arc.radius)
-            for half in (pts[256:], pts[255::-1]):
-                z, ref = anchor, []
-                for w in half:
-                    z = f_inverse(phi.p0, complex(w), z)
-                    ref.append(mobius_apply(phi.mob, f_eval(phi.px, z)))
-                assert np.abs(phi.along(half, anchor) - np.array(ref)).max() < 1e-11
+        for n in (5, 10):
+            for arc in make_shrinking_arcs(cfg, -0.55625, n).arcs:
+                pts = arc.sample(512)
+                anchor = f_inverse_real_segment(phi.p0, -arc.radius)
+                ref = np.empty(512, dtype=complex)
+                for half in (range(256, 512), range(255, -1, -1)):
+                    z = anchor
+                    for i in half:
+                        z = f_inverse(phi.p0, complex(pts[i]), z)
+                        ref[i] = mobius_apply(phi.mob, f_eval(phi.px, z))
+                assert np.abs(phi.along(pts) - ref).max() < 1e-11
 
 
 class TestMobius:
@@ -333,7 +347,7 @@ class TestRecentredQuantities:
     def test_grid_values_match_pointwise_evaluation(self):
         phi = _Phi(0.73125, 0.8, AnnulusModulus(0.25))
         xis = -0.8 + 0.8 * np.arange(1000)[::-1] / 1000.0
-        _, pres = phi.descending_grid(xis)
+        _, pres = phi.grid(xis)
         assert pres.shape == (1000,) and np.all(np.diff(pres) < 0.0)
         assert np.array_equal(phi(pres), [phi(float(z)) for z in pres])
 

@@ -96,8 +96,9 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
 
     Requires q(x) = phi_x(-x0) < -x0, otherwise no such interval exists.
     The sign change of phi_x(xi) - xi is located by an ascending scan with
-    step xi_scan_step and refined by bisection; when no crossing occurs
-    before 0 the whole interval wins and x0 is returned.
+    step xi_scan_step, whose last gap ends at 0, and refined by bisection;
+    when no crossing occurs before 0 the whole interval wins and x0 is
+    returned.
     """
     x0 = cfg.x0
     phi = _Phi(x, x0, cfg.modulus())
@@ -112,15 +113,17 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     xis = xis[xis < 0.0]
     vals, pres = phi.grid(xis)
     psi = vals - xis
-    cross = None
     for i in range(1, xis.size):
         if psi[i - 1] < 0.0 <= psi[i]:
-            cross = i
+            lo, hi = float(xis[i - 1]), float(xis[i])
             break
-    if cross is None:
-        return x0
-    lo, hi = float(xis[cross - 1]), float(xis[cross])
-    z = float(pres[cross - 1])
+    else:
+        # psi(0) = 0 exactly, so the last gap (xis[-1], 0) holds a crossing
+        # when psi(xis[-1]) < 0 and psi > 0 just left of 0: when phi_x'(0) < 1.
+        if not (psi[-1] < 0.0 and phi.slope_at_zero() < 1.0):
+            return x0
+        i, lo, hi = xis.size, float(xis[-1]), 0.0
+    z = float(pres[i - 1])
     while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         z = f_inverse(phi.p0, mid, z).real

@@ -12,8 +12,23 @@ powers of r alone lose digits as r approaches 1.
 
 Evaluations accept scalars or numpy arrays and broadcast elementwise.
 The public functions check their arguments (band, poles, overflow) once per
-call; the private kernels `_omega` and `_omega_log_deriv` only do the
-arithmetic and expect inputs that a caller has already checked.
+call; the private kernels only do the arithmetic and expect inputs that a
+caller has already checked:
+
+- `_omega(z, a, m)` returns omega(z, a);
+- `_omega_log_deriv(z, a, m)` returns (omega(z, a), d/dz log omega(z, a))
+  from one pass over the factors, for callers such as Newton's method that
+  need both.  Its value is bit for bit the value of `_omega`, because both
+  form the factors and their product in the same order.
+
+The normalisation prod_n (1 - q^n)^-2 does not depend on z or a, so it is
+computed once per modulus (`AnnulusModulus.normalisation`) and multiplied in
+after the loop.  Moving it out of the loop changes only the rounding: the
+truncated product is the same.  With the default cap of 256 factors the
+normalisation is finite up to r = 0.9984 and inf beyond; every product
+built from inf is infinite or nan, and the callers' finiteness checks raise
+NumericalOverflowError.  There the cap keeps under 3 % of the factors that
+trunc_tol = 1e-12 asks for, so no value would meet the tolerance anyway.
 """
 
 from __future__ import annotations
@@ -77,6 +92,18 @@ class AnnulusModulus:
         """Number of retained product factors N, with r^(2N) <= trunc_tol."""
         return min(self._requested_terms, self.max_terms)
 
+    @cached_property
+    def normalisation(self) -> float:
+        """prod_{n=1}^{N} (1 - q^n)^-2 over the retained factors, q = r^2."""
+        q = self.r * self.r
+        rp = 1.0
+        out = 1.0
+        for _ in range(self.n_terms):
+            rp *= q
+            one = 1.0 - rp
+            out /= one * one
+        return out
+
     @property
     def capped(self) -> bool:
         """True when max_terms truncated the requested factor count."""
@@ -106,25 +133,41 @@ def _omega(z, a, m: AnnulusModulus):
         t = 1.0
         for _ in range(n):
             rp *= q
-            one = 1.0 - rp
-            t = t * (1.0 - rp * za) * (1.0 - rp * az) / (one * one)
-        out = out * t
+            t = t * ((1.0 - rp * za) * (1.0 - rp * az))
+        out = out * (t * m.normalisation)
     return out
 
 
 def _omega_log_deriv(z, a, m: AnnulusModulus):
-    """Termwise log derivative of `_omega`, for checked z and a off its zeros."""
-    out = 1.0 / (z - a)
+    """`_omega` and its log derivative in z from one pass over the factors.
+
+    z and a must be checked and z off the zeros of omega.  With u = q^n z/a
+    and v = q^n a/z the factor 1 - u contributes -u/(z (1 - u)) and the
+    factor 1 - v contributes v/(z (1 - v)).  The quotients
+    v/(1 - v) - u/(1 - u) cost no more than reciprocals and avoid their
+    1 - 1 cancellation.
+    """
+    out = z - a
+    dlog = 1.0 / out
     n = m.n_terms
     if n:
         q = m.r * m.r
+        za = z / a
+        az = a / z
         rp = 1.0
+        t = 1.0
+        s = 0.0
         for _ in range(n):
             rp *= q
-            f1 = 1.0 - rp * z / a
-            f2 = 1.0 - rp * a / z
-            out = out + (-rp / a) / f1 + (rp * a / (z * z)) / f2
-    return out
+            u = rp * za
+            v = rp * az
+            fu = 1.0 - u
+            fv = 1.0 - v
+            t = t * (fu * fv)
+            s = s + (v / fv - u / fu)
+        out = out * (t * m.normalisation)
+        dlog = dlog + s / z
+    return out, dlog
 
 
 def prime_omega(z, a, m: AnnulusModulus):
@@ -163,7 +206,9 @@ def prime_omega_log_deriv(z, a, m: AnnulusModulus):
     rp = np.cumprod(np.full((m.n_terms,) + (1,) * np.ndim(diff), m.r * m.r), axis=0)
     if np.any(np.minimum(abs(1.0 - rp * z / a), abs(1.0 - rp * a / z)) < FACTOR_ZERO):
         raise PoleError("log derivative evaluated at a zero of omega")
-    out = _omega_log_deriv(z, a, m)
+    # Only the log derivative is returned; the product beside it may overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _omega_log_deriv(z, a, m)[1]
     if not np.all(np.isfinite(np.abs(out))):
         raise NumericalOverflowError("log derivative overflowed")
     return out

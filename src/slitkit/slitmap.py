@@ -14,13 +14,24 @@ real Mobius map vanishing at f_x(x0), lives here as `_Phi`; `q_of`,
 `phi_eval` and `slit_dist_after_mobius` read single values from it, and the
 certify pipeline in `counterexample` builds one per candidate x.
 
-Public functions check their arguments once per call and then work on the
-unchecked prime function kernels `_omega` and `_omega_log_deriv`; private
-helpers such as `_map` expect checked points.  `f_inverse` checks its seed
-once.  Single targets use scalar Newton (`f_inverse`), which
-`f_inverse_real_segment` continues along the real segment from x.  Grids
-and arcs are solved by `_newton` in one array call, seeded by `_seeds` from
-a forward table of f_x on [r, x].
+Public functions check their arguments once per call; private helpers
+expect checked points.  f_x is evaluated by one of two helpers, each making
+two calls (a = x and a = 1/x) to the unchecked prime function kernels and
+checking the products for overflow and poles:
+
+- `_map(p, z)` returns f_x, from `_omega`, for callers that need values only;
+- `_map_log_deriv(p, z)` returns (f_x, f_x'/f_x), from `_omega_log_deriv`,
+  which forms each product and its log derivative in one pass over the
+  factors.  `f_prime` and every Newton step use it.
+
+`slit_endpoint`'s bisection reads only f_x'/f_x and calls
+`_omega_log_deriv` itself, after checking the products at its two bracket
+ends, which bound them at every point between.
+
+`f_inverse` checks its seed once.  Single targets use scalar Newton
+(`f_inverse`), which `f_inverse_real_segment` continues along the real
+segment from x.  Grids and arcs are solved by `_newton` in one array call,
+seeded by `_seeds` from a forward table of f_x on [r, x].
 """
 
 from __future__ import annotations
@@ -136,16 +147,33 @@ def _map(p: SlitMapParams, z):
     with np.errstate(over="ignore", invalid="ignore"):
         num = _omega(z, p.x, p.modulus)
         den = _omega(z, 1.0 / p.x, p.modulus)
+    return _ratio(p, num, den)
+
+
+def _map_log_deriv(p: SlitMapParams, z):
+    """(f_x, f_x'/f_x) at points inside the extended annulus other than z = x.
+
+    The checks are those of `_map`.  An array point on a pole divides by zero
+    inside the kernel; numpy stays silent and the pole check raises.  A Python
+    scalar raises ZeroDivisionError there instead, which becomes the same
+    PoleError.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            num, dnum = _omega_log_deriv(z, p.x, p.modulus)
+            den, dden = _omega_log_deriv(z, 1.0 / p.x, p.modulus)
+    except ZeroDivisionError:
+        raise PoleError("slit map evaluated at a pole") from None
+    return _ratio(p, num, den), dnum - dden
+
+
+def _ratio(p: SlitMapParams, num, den):
+    """f_x = -(num/den)/x, once both products are finite and den is not 0."""
     if not np.all(np.isfinite(np.abs((num, den)))):
         raise NumericalOverflowError("prime function product overflowed")
     if np.any(np.abs(den) < 1e-300):
         raise PoleError("slit map evaluated at a pole")
     return -(num / den) / p.x
-
-
-def _log_deriv(p: SlitMapParams, z):
-    """f_x'/f_x at points that passed f_eval, away from z = x."""
-    return _omega_log_deriv(z, p.x, p.modulus) - _omega_log_deriv(z, 1.0 / p.x, p.modulus)
 
 
 def f_prime(p: SlitMapParams, z):
@@ -155,30 +183,29 @@ def f_prime(p: SlitMapParams, z):
     of the first log derivative at z = x cancels against the zero of f_x, so
     the formula stays accurate arbitrarily close to x, failing only when
     z = x exactly.  Every other zero of either prime function in the annulus
-    of holomorphy is a pole of f_x, which f_eval rejects.
+    of holomorphy is a pole of f_x, which the checks of `_map` reject.
     """
-    val = f_eval(p, z)
+    _check_extended_annulus(p, z)
     if np.any(np.abs(z - p.x) < FACTOR_ZERO):
         raise PoleError("log derivative evaluated at z = a")
-    return val * _log_deriv(p, z)
+    val, dlog = _map_log_deriv(p, z)
+    return val * dlog
 
 
 def f_prime_at_center(p: SlitMapParams) -> float:
-    """Closed form for f_x'(x).
+    """Closed form f_x'(x) = -1/(x omega(x, 1/x)).
 
-    The value is 1/(1 - x^2) times a product over retained factors, each of
-    which exceeds 1, so the result always exceeds 1/(1 - x^2).  With zero
-    retained factors the product is empty and the bound is attained.
+    The product in omega(z, x) = (z - x) P(z) is normalised so that P(x) = 1,
+    which makes d/dz omega(z, x) = 1 at z = x.  Written out, the value is
+    1/(1 - x^2) times the product of (1 - q^n)^2 / ((1 - q^n x^2)(1 - q^n/x^2))
+    over the retained factors, each of which exceeds 1, so the result always
+    exceeds 1/(1 - x^2).  With zero retained factors the product is empty and
+    the bound is attained.
     """
-    x = p.x
-    out = 1.0 / (1.0 - x * x)
-    q = p.r * p.r
-    rp = 1.0
-    for _ in range(p.modulus.n_terms):
-        rp *= q
-        one = 1.0 - rp
-        out *= one * one / ((1.0 - rp * x * x) * (1.0 - rp / (x * x)))
-    return out
+    den = _omega(p.x, 1.0 / p.x, p.modulus)
+    if not math.isfinite(den):
+        raise NumericalOverflowError("prime function product overflowed")
+    return -1.0 / (p.x * den)
 
 
 def f_inverse(p: SlitMapParams, w, seed):
@@ -194,11 +221,15 @@ def f_inverse(p: SlitMapParams, w, seed):
     band_lo = p.inner_extension * 1.000001
     band_hi = p.outer_extension * 0.999999
     for _ in range(NEWTON_MAX_ITER):
-        val = _map(p, z)
+        if z == p.x:  # f_x(x) = 0
+            val, deriv = 0.0, f_prime_at_center(p)
+        else:
+            val, dlog = _map_log_deriv(p, z)
+            deriv = val * dlog
         res = val - w
         if abs(res) <= target:
             return z
-        z = z - res / (f_prime_at_center(p) if z == p.x else val * _log_deriv(p, z))
+        z = z - res / deriv
         if not band_lo < abs(z) < band_hi:  # also false for nan and inf
             raise DomainError(
                 "Newton iterate left the annulus of holomorphy; seed too far"
@@ -228,14 +259,16 @@ def _newton(p: SlitMapParams, w, z):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITER):
             zl = z[live]
-            val = _map(p, zl)
+            val, dlog = _map_log_deriv(p, zl)
             res = val - w[live]
             moving = ~(np.abs(res) <= tol[live])  # nan keeps moving, as in f_inverse
             if not moving.any():
                 return z
-            live, zl, val, res = live[moving], zl[moving], val[moving], res[moving]
-            deriv = val * _log_deriv(p, zl)
-            deriv[zl == p.x] = f_prime_at_center(p)
+            live, zl, res = live[moving], zl[moving], res[moving]
+            deriv = val[moving] * dlog[moving]
+            at_x = zl == p.x
+            if at_x.any():
+                deriv[at_x] = f_prime_at_center(p)
             zl = zl - res / deriv
             mag = np.abs(zl)
             if not np.all((mag > band_lo) & (mag < band_hi)):
@@ -286,7 +319,7 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
     which is the unique zero of h on (0, pi).  A sign-change bisection on h
     pins the preimage angle; the endpoint is the image of that point.
     """
-    r = p.r
+    r, m = p.r, p.modulus
     lo = ENDPOINT_THETA_PAD
     hi = math.pi - ENDPOINT_THETA_PAD
     # f_eval checks the products at both bracket ends only.  For z = r e^{i theta}
@@ -299,7 +332,8 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
 
     def h(theta: float) -> float:
         z = r * cmath.exp(1j * theta)
-        return (z * _log_deriv(p, z)).real
+        dlog = _omega_log_deriv(z, p.x, m)[1] - _omega_log_deriv(z, 1.0 / p.x, m)[1]
+        return (z * dlog).real
 
     h_lo = h(lo)
     h_hi = h(hi)
@@ -356,6 +390,15 @@ class _Phi:
         is attained at its endpoints, whose images have equal modulus.
         """
         return abs(mobius_apply(self.mob, slit_endpoint(self.px).endpoint_plus))
+
+    def slope_at_zero(self) -> float:
+        """phi_x'(0) = f_x'(x0) / ((1 - c^2) f_{x0}'(x0)), for x < x0.
+
+        The preimage of 0 under f_{x0} is x0, and T_x'(c) = 1/(1 - c^2).
+        """
+        c = self.mob.c
+        fx = float(f_prime(self.px, self.p0.x))
+        return fx / ((1.0 - c * c) * f_prime_at_center(self.p0))
 
     def __call__(self, z):
         """T_x(f_x(z)) at real preimages z under f_{x0}, scalar or array."""

@@ -29,9 +29,11 @@ def _fmt(v: float) -> str:
 
 def _polyline(pts: np.ndarray, cx: float, cy: float, scale: float,
               stroke: str, width: float, cls: str) -> str:
-    xs = cx + scale * np.real(pts)
-    ys = cy - scale * np.imag(pts)
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+    xy = np.empty((len(pts), 2))
+    xy[:, 0] = cx + scale * np.real(pts)
+    xy[:, 1] = cy - scale * np.imag(pts)
+    # One %-format over all coordinates writes what _fmt writes per value.
+    coords = ("%.2f,%.2f " * len(pts) % tuple(xy.ravel().tolist()))[:-1]
     return (
         f'<polyline class="{cls}" fill="none" stroke="{stroke}" '
         f'stroke-width="{width}" points="{coords}"/>'

@@ -4,11 +4,12 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slitkit import cli
 from slitkit.errors import DomainError
-from slitkit.svgfig import plot_map
+from slitkit.svgfig import _polyline, plot_map
 
 
 def run_cli(capsys, argv):
@@ -179,6 +180,23 @@ class TestPlot:
             pairs = match.group(1).split()
             assert len(pairs) >= 256
             assert all(re.fullmatch(r"-?\d+\.\d\d,-?\d+\.\d\d", p) for p in pairs)
+
+    def test_polyline_matches_per_point_formatting(self):
+        rng = np.random.default_rng(51)
+        pts = rng.uniform(-1.2, 1.2, 500) + 1j * rng.uniform(-1.2, 1.2, 500)
+        # these land within 0.005 of 0 on the canvas and print as -0.00 or 0.00
+        pts[:4] = (-0.004 + 0.003j, 0.004 - 0.001j, -1e-9 + 1e-9j, 1e-9 - 1e-9j)
+        cx, cy, scale = 0.0, 0.0, 1.0
+        xs = cx + scale * np.real(pts)
+        ys = cy - scale * np.imag(pts)
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        line = _polyline(pts, cx, cy, scale, "#123456", 1.5, "c")
+        assert "-0.00," in coords and ",-0.00" in coords
+        assert line == (
+            f'<polyline class="c" fill="none" stroke="#123456" '
+            f'stroke-width="1.5" points="{coords}"/>'
+        )
+        assert 'points=""' in _polyline(pts[:0], cx, cy, scale, "#123456", 1.5, "c")
 
     def test_byte_identical_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -70,6 +70,18 @@ class TestDeltaOf:
         xi = -std_config.x0 + 0.5 * d
         assert phi.single(xi) < xi
 
+    def test_crossing_in_last_gap_before_zero(self):
+        # psi(0) = 0 exactly, so a crossing between the last scan point and 0
+        # shows in no sign change on the grid
+        fine = CounterexampleConfig(r=0.25, x0=0.8, xi_scan_step=1e-3)
+        coarse = CounterexampleConfig(r=0.25, x0=0.8, xi_scan_step=0.4)
+        assert abs(delta_of(0.65, coarse) - delta_of(0.65, fine)) < 1e-9
+        # At x = 0.79 phi_x is within 1e-7 of the identity on the gap and
+        # psi' is about 5e-8 at the crossing, so Newton's residuals move the
+        # root by up to about 1e-6 between any two scans.
+        coarse = CounterexampleConfig(r=0.25, x0=0.8, xi_scan_step=0.05)
+        assert abs(delta_of(0.79, coarse) - delta_of(0.79, fine)) < 1e-5
+
     def test_ratio_grows_toward_x0(self, std_config):
         ratios = []
         for k in (4, 5, 6, 7):

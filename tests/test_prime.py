@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slitkit.errors import DomainError, NumericalOverflowError, PoleError
-from slitkit.prime import AnnulusModulus, prime_omega, prime_omega_log_deriv, truncation_error_bound
+from slitkit.prime import (
+    AnnulusModulus,
+    _omega,
+    _omega_log_deriv,
+    prime_omega,
+    prime_omega_log_deriv,
+    truncation_error_bound,
+)
 
 
 def _rel(a, b):
@@ -156,3 +163,25 @@ class TestDomainChecks:
         m = AnnulusModulus(0.5, 1e-12)
         with pytest.raises(PoleError):
             prime_omega_log_deriv(0.25, 1.0, m)
+
+    def test_log_deriv_rejects_poles_in_arrays(self):
+        m = AnnulusModulus(0.5, 1e-12)
+        with pytest.raises(PoleError):
+            prime_omega_log_deriv(np.array([0.7 + 0.1j, 0.6 + 0.2j]), 0.6 + 0.2j, m)
+        with pytest.raises(PoleError):
+            prime_omega_log_deriv(np.array([0.8, 0.25]), 1.0, m)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    def test_fused_value_is_bit_identical(self, r):
+        m = AnnulusModulus(r, 1e-12)
+        rng = np.random.default_rng(16)
+        z = _random_band_points(r, rng, 256)
+        a = _random_band_points(r, rng, 256)
+        assert np.array_equal(_omega_log_deriv(z, a, m)[0], _omega(z, a, m))
+        for zz, aa in zip(z[:32].tolist(), a[:32].tolist()):
+            assert _omega_log_deriv(zz, aa, m)[0] == _omega(zz, aa, m)
+        for zz, aa in zip(np.abs(z[:32]).tolist(), np.abs(a[:32]).tolist()):
+            assert _omega_log_deriv(zz, aa, m)[0] == _omega(zz, aa, m)
+

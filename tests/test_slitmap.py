@@ -79,6 +79,10 @@ class TestPolesAndOverflow:
         for z in (1.0 / 0.75, 0.25 / 0.75):
             with pytest.raises(PoleError):
                 f_eval(params, z)
+            with pytest.raises(PoleError):
+                f_prime(params, z)
+            with pytest.raises(PoleError):
+                f_prime(params, np.array([0.6, z]))
 
     def test_overflowing_products_raise(self):
         # 256 capped factors, each divided by (1 - q^n)^2 with q near 1
@@ -113,10 +117,90 @@ class TestDerivative:
         assert abs(d - fd.real) < 1e-6 * abs(d)
         assert d > 1.0 / (1.0 - 0.75 ** 2)
 
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    def test_array_matches_central_difference_and_mpmath(self, r):
+        mp = pytest.importorskip("mpmath")
+        m = AnnulusModulus(r, 1e-12)
+        p = SlitMapParams(m, 0.5 * (r + 1.0))
+        rng = np.random.default_rng(42)
+        mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 8192)
+        z = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 8192))
+        d = f_prime(p, z)
+        h = 1e-3 * (1.0 - r)
+        cd = (
+            f_eval(p, z - 2 * h) - 8.0 * f_eval(p, z - h)
+            + 8.0 * f_eval(p, z + h) - f_eval(p, z + 2 * h)
+        ) / (12.0 * h)
+        assert np.max(np.abs(d - cd) / (1.0 + np.abs(d))) < 1e-8
+        # mpmath differentiates the same truncated product at 30 digits
+        with mp.workdps(30):
+            x = mp.mpf(p.x)
+            qs = [mp.mpf(r) ** (2 * n) for n in range(1, m.n_terms + 1)]
+
+            def omega(w, a):
+                out = w - a
+                for qn in qs:
+                    out *= (1 - qn * w / a) * (1 - qn * a / w) / (1 - qn) ** 2
+                return out
+
+            def f(w):
+                return -(omega(w, x) / omega(w, 1 / x)) / x
+
+            for zz, dd in zip(z[::512].tolist(), d[::512].tolist()):
+                ref = complex(mp.diff(f, mp.mpc(zz)))
+                assert abs(dd - ref) < 1e-12 * (1.0 + abs(ref))
+
     def test_derivative_nonzero_on_annulus(self, params):
         z = np.exp(1j * np.linspace(0.1, 2.0, 50)) * 0.8
         for zz in z:
             assert abs(f_prime(params, complex(zz))) > 1e-6
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    def test_real_array_matches_scalar_calls_bit_for_bit(self, r):
+        p = SlitMapParams(AnnulusModulus(r, 1e-12), 0.5 * (r + 1.0))
+        z = np.linspace(r, p.x, 201)[:-1]
+        val, dlog = slitmap._map_log_deriv(p, z)
+        assert np.array_equal(val, slitmap._map(p, z))
+        pointwise = [slitmap._map_log_deriv(p, zz) for zz in z.tolist()]
+        assert np.array_equal(val, [v for v, _ in pointwise])
+        assert np.array_equal(dlog, [dl for _, dl in pointwise])
+
+
+class TestWorkCounts:
+    """Newton's product-loop passes, counted on slitmap's kernel bindings."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        counts = {"_omega": 0, "_omega_log_deriv": 0}
+        for name in counts:
+            kernel = getattr(slitmap, name)
+
+            def counting(z, a, m, name=name, kernel=kernel):
+                counts[name] += 1
+                return kernel(z, a, m)
+
+            monkeypatch.setattr(slitmap, name, counting)
+        return counts
+
+    def test_scalar_newton_step_is_two_passes(self, params, passes, monkeypatch):
+        w = f_eval(params, 0.6 + 0.2j)
+        passes["_omega"] = 0
+        monkeypatch.setattr(slitmap, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            f_inverse(params, w, 0.62 + 0.19j)
+        assert passes == {"_omega": 0, "_omega_log_deriv": 2}
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_array_newton_step_is_two_fused_passes(self, params, passes, monkeypatch, steps):
+        z = 0.6 * np.exp(1j * np.linspace(0.5, 2.5, 20))
+        w = f_eval(params, z)
+        passes["_omega"] = 0
+        monkeypatch.setattr(slitmap, "NEWTON_MAX_ITER", steps)
+        with pytest.raises(ConvergenceError):
+            slitmap._newton(params, w, z * 1.05)
+        assert passes == {"_omega": 0, "_omega_log_deriv": 2 * steps}
 
 
 class TestSlitEndpoint:

@@ -14,6 +14,13 @@ m - 2 tiny closed arcs contained in disks of radius 1/n, producing genuinely
 m-connected domains, and tabulates the quantities that control the limit:
 boundary distances before and after the map, an equilibrium-mass bound for
 the shrinking arcs, and the induced harmonic measure bound at the origin.
+
+No stage marches along the real segment.  Every phi_x value comes from one
+array Newton call per grid (`_Phi.grid`: the scan of `delta_of`, the
+interior margin, the witness value phi_x(zeta_star)) or per evidence table
+(`_Phi.along` over every arc of every n).  The only scalar solves are the
+steps of `slitmap._bracket_root` refining the crossing in `delta_of`, one
+Newton solve per step; the slit endpoint uses the same root finder.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, GeometryError
 from .potential import harmonic_measure_upper_bound, shrink_mass_bound
 from .prime import AnnulusModulus, truncation_error_bound
-from .slitmap import SlitMapParams, _Phi, f_inverse, slit_endpoint
+from .slitmap import SlitMapParams, _bracket_root, _Phi, f_inverse, slit_endpoint
 
 MARGIN_KEYS = (
     "lemma61_i",
@@ -95,10 +102,12 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     """Largest alpha such that phi_x(xi) < xi holds on [-x0, -x0 + alpha).
 
     Requires q(x) = phi_x(-x0) < -x0, otherwise no such interval exists.
-    The sign change of phi_x(xi) - xi is located by an ascending scan with
-    step xi_scan_step, whose last gap ends at 0, and refined by bisection;
-    when no crossing occurs before 0 the whole interval wins and x0 is
-    returned.
+    The sign change of psi(xi) = phi_x(xi) - xi is located by an ascending
+    scan with step xi_scan_step, whose last gap ends at 0, and refined by
+    `slitmap._bracket_root`; when no crossing occurs before 0 the whole
+    interval wins and x0 is returned.  Each refinement step is one scalar
+    Newton solve, seeded by linear interpolation between the preimages at
+    the ends of the crossing's gap (x0 is the preimage of 0).
     """
     x0 = cfg.x0
     phi = _Phi(x, x0, cfg.modulus())
@@ -115,23 +124,23 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     psi = vals - xis
     for i in range(1, xis.size):
         if psi[i - 1] < 0.0 <= psi[i]:
-            lo, hi = float(xis[i - 1]), float(xis[i])
+            hi, z_hi, psi_hi = float(xis[i]), float(pres[i]), float(psi[i])
             break
     else:
         # psi(0) = 0 exactly, so the last gap (xis[-1], 0) holds a crossing
         # when psi(xis[-1]) < 0 and psi > 0 just left of 0: when phi_x'(0) < 1.
+        # Given psi_hi = 0, the root finder looks for it strictly inside.
         if not (psi[-1] < 0.0 and phi.slope_at_zero() < 1.0):
             return x0
-        i, lo, hi = xis.size, float(xis[-1]), 0.0
-    z = float(pres[i - 1])
-    while hi - lo > BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        z = f_inverse(phi.p0, mid, z).real
-        if phi(z) - mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) + x0
+        i, hi, z_hi, psi_hi = xis.size, 0.0, x0, 0.0
+    lo, z_lo = float(xis[i - 1]), float(pres[i - 1])
+    slope = (z_hi - z_lo) / (hi - lo)
+
+    def psi_at(xi: float) -> float:
+        z = f_inverse(phi.p0, xi, z_lo + slope * (xi - lo)).real
+        return float(phi(z) - xi)
+
+    return _bracket_root(psi_at, lo, hi, float(psi[i - 1]), psi_hi, BISECT_WIDTH) + x0
 
 
 @dataclass(frozen=True)
@@ -323,7 +332,7 @@ def _certificate(
         dist_gamma = phi.slit_dist()
     if margin_i is None:
         margin_i = _interior_margin(phi, cfg.x0, delta)
-    phi_at_zeta = phi.single(zeta_star)
+    phi_at_zeta = float(phi.grid(np.array([zeta_star]))[0][0])
     margins = {
         "lemma61_i": margin_i,
         "lemma61_ii": dist_gamma - (cfg.x0 - delta),
@@ -561,21 +570,19 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
     theta_a = math.atan2(arc0.endpoint_plus.imag, arc0.endpoint_plus.real)
     degenerate_value = min(abs(cert.phi_at_zeta), cert.dist_gamma)
     families = [_shrinking_arcs(cfg, cert.zeta_star, n, theta_a) for n in cfg.n_list]
+    # samples[k, j] is arc j of the family at level n_list[k]; every arc of
+    # every level is mapped by one Newton call.
+    samples = np.array([[arc.sample(ARC_SAMPLES) for arc in fam.arcs] for fam in families])
+    min_abs_phi = np.abs(phi.along(samples.ravel())).reshape(samples.shape).min(axis=(1, 2))
     rows = []
     fitted_c = 0.0
     n_min = None
-    for n, fam in zip(cfg.n_list, families):
+    for n, fam, arc_pts, min_abs in zip(cfg.n_list, families, samples, min_abs_phi):
         dist_boundary = min(cfg.x0, min(a.radius for a in fam.arcs))
-        all_pts = []
-        min_abs_phi = math.inf
-        for arc in fam.arcs:
-            pts = arc.sample(ARC_SAMPLES)
-            min_abs_phi = min(min_abs_phi, float(np.abs(phi.along(pts)).min()))
-            all_pts.append(pts)
-        dist_phi_image = min(cert.dist_gamma, 1.0, min_abs_phi)
+        dist_phi_image = min(cert.dist_gamma, 1.0, float(min_abs))
         margin = dist_phi_image - dist_boundary
-        diam = _family_diameter(all_pts)
-        pts = np.concatenate(all_pts)
+        diam = _family_diameter(arc_pts)
+        pts = arc_pts.ravel()
         dist_p0 = float(
             min(
                 (1.0 - np.abs(pts)).min(),

@@ -143,9 +143,9 @@ def _omega_log_deriv(z, a, m: AnnulusModulus):
 
     z and a must be checked and z off the zeros of omega.  With u = q^n z/a
     and v = q^n a/z the factor 1 - u contributes -u/(z (1 - u)) and the
-    factor 1 - v contributes v/(z (1 - v)).  The quotients
-    v/(1 - v) - u/(1 - u) cost no more than reciprocals and avoid their
-    1 - 1 cancellation.
+    factor 1 - v contributes v/(z (1 - v)).  Their sum is
+    (v - u)/(z (1 - u)(1 - v)), so each factor pair costs one division by
+    the product (1 - u)(1 - v) that the value already forms.
     """
     out = z - a
     dlog = 1.0 / out
@@ -161,10 +161,9 @@ def _omega_log_deriv(z, a, m: AnnulusModulus):
             rp *= q
             u = rp * za
             v = rp * az
-            fu = 1.0 - u
-            fv = 1.0 - v
-            t = t * (fu * fv)
-            s = s + (v / fv - u / fu)
+            fuv = (1.0 - u) * (1.0 - v)
+            t = t * fuv
+            s = s + (v - u) / fuv
         out = out * (t * m.normalisation)
         dlog = dlog + s / z
     return out, dlog
@@ -187,6 +186,24 @@ def prime_omega(z, a, m: AnnulusModulus):
     return out
 
 
+def _hits_factor_zero(z, a, m: AnnulusModulus) -> bool:
+    """True if a retained factor 1 - q^n z/a or 1 - q^n a/z is below FACTOR_ZERO.
+
+    |q^n z/a| = 1 at n = -log|z/a| / log q and |q^n a/z| = 1 at the negative
+    of that, so only the nearest index in [1, N] can hold a zero.  Testing
+    that one factor per point and side, with q^n formed as the product loop
+    forms it, needs memory of the size of the points, not N times it.
+    """
+    rp = np.cumprod(np.full(m.n_terms, m.r * m.r))
+    k = np.log(np.abs(z / a)) / math.log(m.r * m.r)
+    n_u = np.clip(np.rint(-k), 1, m.n_terms).astype(int) - 1
+    n_v = np.clip(np.rint(k), 1, m.n_terms).astype(int) - 1
+    return bool(
+        np.any(abs(1.0 - rp[n_u] * z / a) < FACTOR_ZERO)
+        or np.any(abs(1.0 - rp[n_v] * a / z) < FACTOR_ZERO)
+    )
+
+
 def prime_omega_log_deriv(z, a, m: AnnulusModulus):
     """Logarithmic derivative d/dz log omega(z, a) of the truncated product.
 
@@ -202,9 +219,7 @@ def prime_omega_log_deriv(z, a, m: AnnulusModulus):
     diff = z - a
     if np.any(np.abs(diff) < FACTOR_ZERO):
         raise PoleError("log derivative evaluated at z = a")
-    # q^1..q^N along a leading axis, as the product loop forms them
-    rp = np.cumprod(np.full((m.n_terms,) + (1,) * np.ndim(diff), m.r * m.r), axis=0)
-    if np.any(np.minimum(abs(1.0 - rp * z / a), abs(1.0 - rp * a / z)) < FACTOR_ZERO):
+    if m.n_terms and _hits_factor_zero(z, a, m):
         raise PoleError("log derivative evaluated at a zero of omega")
     # Only the log derivative is returned; the product beside it may overflow.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -24,14 +24,18 @@ checking the products for overflow and poles:
   which forms each product and its log derivative in one pass over the
   factors.  `f_prime` and every Newton step use it.
 
-`slit_endpoint`'s bisection reads only f_x'/f_x and calls
-`_omega_log_deriv` itself, after checking the products at its two bracket
-ends, which bound them at every point between.
+`slit_endpoint` reads only f_x'/f_x and calls `_omega_log_deriv` itself,
+after checking the products at its two bracket ends, which bound them at
+every point between.  Its sign change is found by `_bracket_root`, the one
+bracketed root finder (regula falsi with the Illinois rule and a bisection
+fallback), which `counterexample.delta_of` uses too.
 
-`f_inverse` checks its seed once.  Single targets use scalar Newton
-(`f_inverse`), which `f_inverse_real_segment` continues along the real
-segment from x.  Grids and arcs are solved by `_newton` in one array call,
-seeded by `_seeds` from a forward table of f_x on [r, x].
+`f_inverse` checks its seed once.  Grids, arcs and the certificate's single
+points are solved by `_newton` in one array call, seeded by `_seeds` from a
+forward table of f_x on [r, x].  Only the public single-point requests
+`f_inverse_real_segment` and `phi_eval` still march: scalar Newton
+(`f_inverse`) continued along the real segment from x in steps of
+CONTINUATION_STEP.
 """
 
 from __future__ import annotations
@@ -310,14 +314,61 @@ def f_inverse_real_segment(p: SlitMapParams, w: float) -> float:
     return z.real
 
 
+def _bracket_root(g, lo: float, hi: float, g_lo: float, g_hi: float,
+                  width: float) -> float:
+    """A sign change of g in [lo, hi], to within width.
+
+    g_lo = g(lo) must be nonzero and g_hi = g(hi) zero or of the other sign.
+    g_hi = 0 asks for a sign change strictly inside, as when g has a known
+    zero at hi that is not the one sought.  Steps are regula falsi with the
+    Illinois rule: an end kept twice in a row has its g value halved, so
+    that one end cannot stick.  A step bisects instead when the
+    false-position point is not strictly inside the bracket (always so while
+    g_hi = 0) or when the two steps before it did not halve the bracket.
+    Returns an exact zero of g at once, else the midpoint of a bracket at
+    most width wide.
+    """
+    sign = math.copysign(1.0, g_lo)
+    g_lo, g_hi = sign * g_lo, sign * g_hi  # now g_lo > 0 >= g_hi
+    kept = 0  # +1: lo was kept by the last step, -1: hi was
+    ref, steps = hi - lo, 0
+    bisect = False
+    while hi - lo > width:
+        if steps == 2:
+            bisect = hi - lo > 0.5 * ref
+            ref, steps = hi - lo, 0
+        t = 0.5 * (lo + hi)
+        if not bisect:
+            fp = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+            if lo < fp < hi:
+                t = fp
+        bisect = False
+        steps += 1
+        g_t = sign * g(t)
+        if g_t == 0.0:
+            return t
+        if g_t > 0.0:
+            lo, g_lo = t, g_t
+            if kept == -1:
+                g_hi *= 0.5
+            kept = -1
+        else:
+            hi, g_hi = t, g_t
+            if kept == 1:
+                g_lo *= 0.5
+            kept = 1
+    return 0.5 * (lo + hi)
+
+
 def slit_endpoint(p: SlitMapParams) -> SlitArc:
     """Locate the slit endpoint with positive imaginary part.
 
     On the inner circle z = r e^{i theta} the modulus of f_x is constant, so
     d/dtheta arg f_x = Re(z f_x'(z)/f_x(z)) =: h(theta).  The image point
     sweeps out the slit and reverses direction exactly where f_x' vanishes,
-    which is the unique zero of h on (0, pi).  A sign-change bisection on h
-    pins the preimage angle; the endpoint is the image of that point.
+    which is the unique zero of h on (0, pi).  `_bracket_root` pins the
+    preimage angle from the sign change of h; the endpoint is the image of
+    that point.
     """
     r, m = p.r, p.modulus
     lo = ENDPOINT_THETA_PAD
@@ -326,7 +377,8 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
     # and real a > 0 every factor |1 - t e^{+-i theta}| of omega(z, x) and
     # omega(z, 1/x) grows with theta on [0, pi], so both products are smallest
     # at lo and largest at hi: the pole test at lo and the overflow test at hi
-    # cover every bisection point.  |z| = r < x keeps z off the zero x.
+    # cover every point the root finder visits.  |z| = r < x keeps z off the
+    # zero x.
     for theta in (lo, hi):
         f_eval(p, r * cmath.exp(1j * theta))
 
@@ -344,17 +396,7 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
     else:
         if math.copysign(1.0, h_lo) == math.copysign(1.0, h_hi):
             raise ConvergenceError("no sign change bracketing the slit endpoint")
-        while hi - lo > ENDPOINT_THETA_WIDTH:
-            mid = 0.5 * (lo + hi)
-            h_mid = h(mid)
-            if h_mid == 0.0:
-                lo = hi = mid
-                break
-            if math.copysign(1.0, h_mid) == math.copysign(1.0, h_lo):
-                lo, h_lo = mid, h_mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
+        root = _bracket_root(h, lo, hi, h_lo, h_hi, ENDPOINT_THETA_WIDTH)
 
     endpoint = complex(f_eval(p, r * cmath.exp(1j * root)))
     return SlitArc(radius=abs(endpoint), endpoint_plus=endpoint, preimage_theta=root)
@@ -366,8 +408,8 @@ class _Phi:
     T_x is the real Mobius map vanishing at c = f_x(x0), so phi_x fixes 0
     and sends the slit disk of f_{x0} onto the unit disk minus the recentred
     slit T_x(Gamma_x).  c is computed once, on construction.  Preimages under
-    f_{x0} come from `f_inverse_real_segment` for a single point and from one
-    `_newton` call seeded by `_seeds` for a grid or an arc.
+    f_{x0} come from one `_newton` call seeded by `_seeds`, for a grid, an
+    arc or a single point alike.
     """
 
     def __init__(self, x: float, x0: float, modulus: AnnulusModulus) -> None:
@@ -404,9 +446,6 @@ class _Phi:
         """T_x(f_x(z)) at real preimages z under f_{x0}, scalar or array."""
         return np.real(mobius_apply(self.mob, f_eval(self.px, z)))
 
-    def single(self, xi: float) -> float:
-        return float(self(f_inverse_real_segment(self.p0, xi)))
-
     def grid(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and preimages at real points of [-x0, 0], in any order."""
         pres = _newton(self.p0, xis, _seeds(self.p0, xis)).real
@@ -437,9 +476,11 @@ def phi_eval(x: float, x0: float, m: AnnulusModulus, xi: float) -> float:
     """Evaluate phi_x(xi) = T_x(f_x(f_{x0}^{-1}(xi))) for real xi in [-x0, 0].
 
     The preimage is found by monotone path continuation along the real
-    segment, so single-point evaluations are self-contained.
+    segment (`f_inverse_real_segment`), so single-point evaluations are
+    self-contained.
     """
-    return _Phi(x, x0, m).single(xi)
+    phi = _Phi(x, x0, m)
+    return float(phi(f_inverse_real_segment(phi.p0, xi)))
 
 
 def slit_dist_after_mobius(x: float, x0: float, m: AnnulusModulus) -> float:

@@ -96,8 +96,8 @@ def plot_map(
         _polyline(_circle_pts(r), cx_left, cy, scale, "#222222", 1.5, "boundary")
     )
 
-    for pts in source_curves:
-        image = f_eval(params, pts)
+    ends = np.cumsum([len(pts) for pts in source_curves])[:-1]
+    for image in np.split(f_eval(params, np.concatenate(source_curves)), ends):
         parts.append(
             _polyline(image, cx_right, cy, scale, "#7799bb", 1.0, "grid-image")
         )

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slitkit import cli
+from slitkit import cli, svgfig
 from slitkit.errors import DomainError
+from slitkit.prime import AnnulusModulus
+from slitkit.slitmap import SlitMapParams, f_eval
 from slitkit.svgfig import _polyline, plot_map
 
 
@@ -197,6 +199,30 @@ class TestPlot:
             f'stroke-width="1.5" points="{coords}"/>'
         )
         assert 'points=""' in _polyline(pts[:0], cx, cy, scale, "#123456", 1.5, "c")
+
+    def test_grid_images_come_from_one_f_eval(self, monkeypatch):
+        calls = []
+
+        def counting(p, z):
+            calls.append(np.size(z))
+            return f_eval(p, z)
+
+        monkeypatch.setattr(svgfig, "f_eval", counting)
+        r, x = 0.5, 0.75
+        doc = plot_map(r, x, grid=(3, 4))
+        assert len(calls) == 1
+        # each image polyline is what a separate f_eval of its curve draws
+        p = SlitMapParams(AnnulusModulus(r), x)
+        ts = np.linspace(r, 1.0, svgfig.CURVE_SAMPLES)
+        curves = [svgfig._circle_pts(float(rho)) for rho in np.linspace(r, 1.0, 3)]
+        curves += [ts * np.exp(1j * th) for th in np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)]
+        half = svgfig.PANEL_SIZE / 2.0
+        cx = svgfig.PANEL_SIZE + svgfig.PANEL_GAP + half
+        lines = [line for line in doc.splitlines() if 'class="grid-image"' in line]
+        assert lines == [
+            _polyline(f_eval(p, c), cx, half, half - svgfig.MARGIN, "#7799bb", 1.0, "grid-image")
+            for c in curves
+        ]
 
     def test_byte_identical_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from slitkit import counterexample, slitmap
 from slitkit.counterexample import (
     ARC_SAMPLES,
     MARGIN_KEYS,
@@ -21,6 +22,7 @@ from slitkit.counterexample import (
     search_x_star,
 )
 from slitkit.errors import ConvergenceError, DomainError, GeometryError
+from slitkit.slitmap import phi_eval
 
 GOLDEN_X_STAR = 0.73125
 GOLDEN_DELTA = 0.4875
@@ -66,9 +68,8 @@ class TestDeltaOf:
         x = 0.79
         d = delta_of(x, std_config)
         assert 0.0 < d < std_config.x0
-        phi = _Phi(x, std_config.x0, std_config.modulus())
         xi = -std_config.x0 + 0.5 * d
-        assert phi.single(xi) < xi
+        assert phi_eval(x, std_config.x0, std_config.modulus(), xi) < xi
 
     def test_crossing_in_last_gap_before_zero(self):
         # psi(0) = 0 exactly, so a crossing between the last scan point and 0
@@ -279,3 +280,47 @@ class TestEvidence:
         failing = dataclasses.replace(std_certificate, tol=1e9, passed=False)
         with pytest.raises(DomainError):
             nondegenerate_evidence(std_config, failing)
+
+
+class TestWorkCounts:
+    def test_certificate_solves_few_scalars_per_crossing_and_never_marches(
+        self, std_config, monkeypatch
+    ):
+        solves, per_crossing = [], []
+        scalar = slitmap.f_inverse
+
+        def counting(p, w, seed):
+            solves.append(w)
+            return scalar(p, w, seed)
+
+        def march(p, w):
+            raise AssertionError("the certify pipeline marched along the real segment")
+
+        root = counterexample._bracket_root
+
+        def counting_root(*args):
+            before = len(solves)
+            out = root(*args)
+            per_crossing.append(len(solves) - before)
+            return out
+
+        monkeypatch.setattr(slitmap, "f_inverse", counting)
+        monkeypatch.setattr(counterexample, "f_inverse", counting)
+        monkeypatch.setattr(slitmap, "f_inverse_real_segment", march)
+        monkeypatch.setattr(counterexample, "_bracket_root", counting_root)
+        cert = certify_degenerate(std_config)
+        revalidate_certificate(std_config, cert, std_config.trunc_tol / 100.0)
+        assert per_crossing and max(per_crossing) <= 20
+        assert len(solves) == sum(per_crossing)
+
+    def test_evidence_makes_one_newton_call(self, std_config, std_certificate, monkeypatch):
+        sizes = []
+        newton = slitmap._newton
+
+        def counting(p, w, z):
+            sizes.append(np.size(w))
+            return newton(p, w, z)
+
+        monkeypatch.setattr(slitmap, "_newton", counting)
+        nondegenerate_evidence(std_config, std_certificate)
+        assert sizes == [len(std_config.n_list) * (std_config.m - 2) * ARC_SAMPLES]

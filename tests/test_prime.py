@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from slitkit.errors import DomainError, NumericalOverflowError, PoleError
 from slitkit.prime import (
+    BAND_INNER,
+    BAND_OUTER,
+    FACTOR_ZERO,
     AnnulusModulus,
+    _hits_factor_zero,
     _omega,
     _omega_log_deriv,
     prime_omega,
@@ -170,6 +175,42 @@ class TestDomainChecks:
             prime_omega_log_deriv(np.array([0.7 + 0.1j, 0.6 + 0.2j]), 0.6 + 0.2j, m)
         with pytest.raises(PoleError):
             prime_omega_log_deriv(np.array([0.8, 0.25]), 1.0, m)
+
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
+    def test_pole_check_matches_every_factor(self, r):
+        # Points that zero a factor exactly, a / q^n and q^n a with q^n formed
+        # as the product loop forms it, plus random points: the nearest-index
+        # test flags exactly the points that a test of every factor flags.
+        m = AnnulusModulus(r, 1e-12)
+        q = r * r
+        rp = np.cumprod(np.full(m.n_terms, q))
+        lo, hi = BAND_INNER * q, BAND_OUTER / r
+        rng = np.random.default_rng(41)
+        hits = 0
+        for a in [1.0, r, 1.0 / r, 0.5 * (lo + hi), *rng.uniform(lo, hi, 20)]:
+            cand = np.concatenate([a / rp[:3], a * rp[:3], _random_band_points(r, rng, 8, lo, hi)])
+            z = cand[(np.abs(cand) > lo) & (np.abs(cand) < hi)]
+            every = [
+                bool(np.any(np.minimum(abs(1.0 - rp * zz / a), abs(1.0 - rp * a / zz)) < FACTOR_ZERO))
+                for zz in z
+            ]
+            assert [_hits_factor_zero(zz, a, m) for zz in z] == every
+            assert _hits_factor_zero(z, a, m) == any(every)
+            hits += sum(every)
+        assert hits > 0
+
+    def test_log_deriv_pole_check_memory_is_linear(self):
+        # 8,192 points at r = 0.9 (132 factors): an n_terms x N pole test
+        # peaked at 43 MB here.
+        m = AnnulusModulus(0.9, 1e-12)
+        z = 0.95 * np.exp(1j * np.linspace(0.1, 6.2, 8192))
+        tracemalloc.start()
+        try:
+            prime_omega_log_deriv(z, 0.93, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestKernels:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from slitkit import slitmap
 from slitkit.counterexample import CounterexampleConfig, make_shrinking_arcs
 from slitkit.errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
-from slitkit.prime import AnnulusModulus
+from slitkit.prime import AnnulusModulus, _omega_log_deriv
 from slitkit.slitmap import (
     MobiusReal,
     SlitMapParams,
@@ -201,6 +202,93 @@ class TestWorkCounts:
         with pytest.raises(ConvergenceError):
             slitmap._newton(params, w, z * 1.05)
         assert passes == {"_omega": 0, "_omega_log_deriv": 2 * steps}
+
+    def test_slit_endpoint_root_finder_work(self, passes):
+        # 600 seeded (r, x) pairs; the bisection it replaced took 45 steps
+        # plus the two bracket ends, 47 h evaluations, on every one of them.
+        rng = np.random.default_rng(8)
+        rs = rng.uniform(0.02, 0.97, 600)
+        xs = rs + (1.0 - rs) * rng.uniform(0.05, 0.95, 600)
+        evals = []
+        for r, x in zip(rs.tolist(), xs.tolist()):
+            passes["_omega_log_deriv"] = 0
+            got = slit_endpoint(SlitMapParams(AnnulusModulus(r), x)).preimage_theta
+            evals.append(passes["_omega_log_deriv"] // 2)
+            assert abs(got - _bisected_endpoint_theta(r, x)) <= 2e-13
+        assert np.median(evals) <= 20
+        assert max(evals) <= 47
+
+
+def _bisected_endpoint_theta(r, x):
+    """The preimage angle of the slit endpoint by plain bisection on h."""
+    m = AnnulusModulus(r)
+
+    def h(theta):
+        z = r * cmath.exp(1j * theta)
+        return (z * (_omega_log_deriv(z, x, m)[1] - _omega_log_deriv(z, 1.0 / x, m)[1])).real
+
+    lo, hi = slitmap.ENDPOINT_THETA_PAD, math.pi - slitmap.ENDPOINT_THETA_PAD
+    h_lo = h(lo)
+    while hi - lo > slitmap.ENDPOINT_THETA_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if math.copysign(1.0, h(mid)) == math.copysign(1.0, h_lo):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBracketRoot:
+    def test_zero_at_hi_searches_inside(self):
+        # psi(0) = 0 is known and not the crossing sought, as in the last
+        # gap of delta_of's scan: psi < 0 at -0.5, psi > 0 on (-0.3, 0)
+        def psi(t):
+            return -t * (t + 0.3)
+
+        root = slitmap._bracket_root(psi, -0.5, 0.0, psi(-0.5), 0.0, 1e-12)
+        assert abs(root + 0.3) <= 1e-12
+
+    def test_exact_zero_is_returned(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return t - 0.25
+
+        # the first false-position point is 0.25, where g is exactly 0
+        assert slitmap._bracket_root(g, 0.0, 1.0, -0.25, 0.75, 1e-12) == 0.25
+        assert calls == [0.25]
+
+    def test_lopsided_function_beats_bisection(self):
+        # g(1) is about 1e117 and g(0) about -1: plain regula falsi creeps in
+        # from 0 for hundreds of steps; the Illinois rule and the bisection
+        # fallback keep it under the 40 steps of bisection to 1e-12
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return math.expm1(300.0 * (t - 0.1))
+
+        root = slitmap._bracket_root(g, 0.0, 1.0, g(0.0), g(1.0), 1e-12)
+        assert abs(root - 0.1) <= 1e-12
+        assert len(calls) - 2 <= 40
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_noisy_function_ends_within_twice_bisection(self, seed):
+        rng = np.random.default_rng(seed)
+        c, k = rng.uniform(0.05, 0.95), rng.uniform(0.1, 10.0)
+        width = 1e-15
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return k * (t - c) * (1.0 + t * t) + rng.uniform(-1e-13, 1e-13)
+
+        root = slitmap._bracket_root(g, 0.0, 1.0, -k * c, k * (1.0 - c) * 2.0, width)
+        bisection_steps = math.ceil(math.log2(1.0 / width))
+        assert len(calls) <= 2 * bisection_steps
+        # the sign of g is noise within 1e-13 / k of c
+        assert abs(root - c) <= 1e-13 / k + width
 
 
 class TestSlitEndpoint:

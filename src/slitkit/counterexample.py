@@ -16,9 +16,9 @@ boundary distances before and after the map, an equilibrium-mass bound for
 the shrinking arcs, and the induced harmonic measure bound at the origin.
 
 No stage marches along the real segment.  Every phi_x value comes from one
-array Newton call per grid (`_Phi.grid`: the scan of `delta_of`, the
+`_Phi.solve` call, one array Newton, per grid (the scan of `delta_of`, the
 interior margin, the witness value phi_x(zeta_star)) or per evidence table
-(`_Phi.along` over every arc of every n).  The only scalar solves are the
+(every arc of every n).  The only scalar solves are the
 steps of `slitmap._bracket_root` refining the crossing in `delta_of`, one
 Newton solve per step; the slit endpoint uses the same root finder.
 """
@@ -120,7 +120,7 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     n_steps = math.ceil(x0 / h)
     xis = -x0 + h * np.arange(n_steps + 1)
     xis = xis[xis < 0.0]
-    vals, pres = phi.grid(xis)
+    vals, pres = phi.solve(xis)
     psi = vals - xis
     for i in range(1, xis.size):
         if psi[i - 1] < 0.0 <= psi[i]:
@@ -160,7 +160,7 @@ def _interior_margin(phi: _Phi, x0: float, delta: float) -> float:
     """Minimum of xi - phi(xi) over the interior grid of (-x0, -x0 + delta)."""
     j = np.arange(1, INTERIOR_GRID_POINTS + 1)
     grid = -x0 + delta * j / (INTERIOR_GRID_POINTS + 1.0)
-    vals, _ = phi.grid(grid)
+    vals, _ = phi.solve(grid)
     return float(np.min(grid - vals))
 
 
@@ -332,7 +332,7 @@ def _certificate(
         dist_gamma = phi.slit_dist()
     if margin_i is None:
         margin_i = _interior_margin(phi, cfg.x0, delta)
-    phi_at_zeta = float(phi.grid(np.array([zeta_star]))[0][0])
+    phi_at_zeta = float(phi.solve(np.array([zeta_star]))[0][0])
     margins = {
         "lemma61_i": margin_i,
         "lemma61_ii": dist_gamma - (cfg.x0 - delta),
@@ -573,7 +573,7 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
     # samples[k, j] is arc j of the family at level n_list[k]; every arc of
     # every level is mapped by one Newton call.
     samples = np.array([[arc.sample(ARC_SAMPLES) for arc in fam.arcs] for fam in families])
-    min_abs_phi = np.abs(phi.along(samples.ravel())).reshape(samples.shape).min(axis=(1, 2))
+    min_abs_phi = np.abs(phi.solve(samples.ravel())[0]).reshape(samples.shape).min(axis=(1, 2))
     rows = []
     fitted_c = 0.0
     n_min = None

@@ -30,17 +30,22 @@ every point between.  Its sign change is found by `_bracket_root`, the one
 bracketed root finder (regula falsi with the Illinois rule and a bisection
 fallback), which `counterexample.delta_of` uses too.
 
-`f_inverse` checks its seed once.  Grids, arcs and the certificate's single
-points are solved by `_newton` in one array call, seeded by `_seeds` from a
-forward table of f_x on [r, x].  Only the public single-point requests
-`f_inverse_real_segment` and `phi_eval` still march: scalar Newton
-(`f_inverse`) continued along the real segment from x in steps of
-CONTINUATION_STEP.
+Scalar Newton (`f_inverse`) checks its seed once; `_newton` runs the same
+iteration on arrays, in float64 for real targets and seeds and in complex128
+otherwise.  Both stop by one rule, `_converged`.  Grids, arcs and the
+certificate's single points are solved by `_Phi.solve` in one `_newton`
+call, seeded by `_seeds`: the inverse of f_x by cubic Hermite interpolation
+in a table of f_x and f_x' on [r, x] (`_seed_table`, built once per
+modulus and x).  From these seeds Newton takes one step on the real grids
+of the certificate and two on its arcs.  Only the public single-point
+requests `f_inverse_real_segment` and `phi_eval` still march: `f_inverse`
+continued along the real segment from x in steps of CONTINUATION_STEP.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +58,8 @@ NEWTON_MAX_ITER = 64
 NEWTON_TOL = 1e-12
 CONTINUATION_STEP = 0.01
 SEED_TABLE_POINTS = 64
+STOP_ULPS = 4
+EPS = float(np.finfo(float).eps)
 ENDPOINT_THETA_PAD = 1e-9
 ENDPOINT_THETA_WIDTH = 1e-13
 
@@ -212,14 +219,29 @@ def f_prime_at_center(p: SlitMapParams) -> float:
     return -1.0 / (p.x * den)
 
 
+def _converged(res, w, z, deriv):
+    """Newton's stop rule, for scalars and arrays alike.
+
+    A residual res = f(z) - w is small enough when it is at most
+    NEWTON_TOL (1 + |w|), or at most STOP_ULPS ulps of z times |f'(z)|: the
+    residual that rounding z alone can leave.  The second bound matters only
+    where f_x stretches: near x = r, f_x maps [r, x] onto [-x, 0] and |f'|
+    averages x/(x - r), 2e4 at r = 0.95, x = 0.95005, where NEWTON_TOL alone
+    cannot be met.  nan is never small enough.
+    """
+    size = abs(res)
+    return (size <= NEWTON_TOL * (1.0 + abs(w))) | (
+        size <= STOP_ULPS * EPS * abs(z) * abs(deriv))
+
+
 def f_inverse(p: SlitMapParams, w, seed):
     """Invert the slit map by a damped-free Newton iteration from a seed.
 
-    Stops once |f(z) - w| <= NEWTON_TOL * (1 + |w|).  Only the seed gets the
-    full domain check; an iterate that leaves a narrower band raises a domain
-    error.  A good seed (path continuation from a known preimage) avoids that.
+    Stops at the first iterate that is `_converged`.  Only the seed gets the
+    full domain check; an iterate that leaves a narrower band raises a
+    domain error.  A good seed (path continuation from a known preimage)
+    avoids that.
     """
-    target = NEWTON_TOL * (1.0 + abs(w))
     z = complex(seed)
     _check_extended_annulus(p, z)
     band_lo = p.inner_extension * 1.000001
@@ -231,7 +253,7 @@ def f_inverse(p: SlitMapParams, w, seed):
             val, dlog = _map_log_deriv(p, z)
             deriv = val * dlog
         res = val - w
-        if abs(res) <= target:
+        if _converged(res, w, z, deriv):
             return z
         z = z - res / deriv
         if not band_lo < abs(z) < band_hi:  # also false for nan and inf
@@ -246,15 +268,16 @@ def f_inverse(p: SlitMapParams, w, seed):
 def _newton(p: SlitMapParams, w, z):
     """`f_inverse` on 1-D arrays: Newton for every target w from its seed z at once.
 
-    Each point stops at the first iterate that meets f_inverse's tolerance,
+    Each point stops at the first iterate that meets f_inverse's stop rule,
     and later steps touch only the points still moving.  The seed check, the
     band test on every iterate, the errors and their messages are those of
-    f_inverse.  Returns a new complex array.
+    f_inverse.  Returns a new array of the common type of w, z and float:
+    float64 for real targets and seeds, whose iterates stay real because f_x
+    is real on the real axis, and complex128 otherwise.
     """
     w = np.asarray(w)
-    z = np.array(z, dtype=complex)
+    z = np.array(z, dtype=np.result_type(w, z, float))
     _check_extended_annulus(p, z)
-    tol = NEWTON_TOL * (1.0 + np.abs(w))
     band_lo = p.inner_extension * 1.000001
     band_hi = p.outer_extension * 0.999999
     live = np.arange(z.size)
@@ -262,18 +285,18 @@ def _newton(p: SlitMapParams, w, z):
     # band test rejects, instead of a numpy warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITER):
-            zl = z[live]
+            zl, wl = z[live], w[live]
             val, dlog = _map_log_deriv(p, zl)
-            res = val - w[live]
-            moving = ~(np.abs(res) <= tol[live])  # nan keeps moving, as in f_inverse
-            if not moving.any():
-                return z
-            live, zl, res = live[moving], zl[moving], res[moving]
-            deriv = val[moving] * dlog[moving]
+            deriv = val * dlog
             at_x = zl == p.x
             if at_x.any():
                 deriv[at_x] = f_prime_at_center(p)
-            zl = zl - res / deriv
+            res = val - wl
+            moving = ~_converged(res, wl, zl, deriv)
+            if not moving.any():
+                return z
+            live, zl = live[moving], zl[moving]
+            zl = zl - res[moving] / deriv[moving]
             mag = np.abs(zl)
             if not np.all((mag > band_lo) & (mag < band_hi)):
                 raise DomainError(
@@ -285,17 +308,52 @@ def _newton(p: SlitMapParams, w, z):
     )
 
 
-def _seeds(p: SlitMapParams, w) -> np.ndarray:
-    """Newton seeds on [r, x] for targets w: the point whose image is -|w|.
+@functools.lru_cache(maxsize=8)
+def _seed_table(p: SlitMapParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, f_x, f_x') on SEED_TABLE_POINTS Chebyshev points of [r, x].
 
-    f_x is real and increasing on [r, x], from f(r) = -x to f(x) = 0, so one
-    `_map` on SEED_TABLE_POINTS Chebyshev points of the segment tabulates its
-    inverse and `np.interp` reads every seed off the table.
+    The last point is x itself, where f_x = 0 and f_x' is
+    `f_prime_at_center`; `_map_log_deriv` gives the others in one call.  The
+    table depends only on p, so it is built once per modulus and x and kept
+    for the next grid or arc.  Its arrays are read-only.
     """
     theta = np.pi * np.arange(SEED_TABLE_POINTS) / (SEED_TABLE_POINTS - 1)
     points = p.r + (p.x - p.r) * 0.5 * (1.0 - np.cos(theta))
-    values = _map(p, points).real
-    return np.interp(-np.abs(w), values, points)
+    points[-1] = p.x
+    val, dlog = _map_log_deriv(p, points[:-1])
+    values = np.append(val, 0.0)
+    derivs = np.append(val * dlog, f_prime_at_center(p))
+    for a in (points, values, derivs):
+        a.setflags(write=False)
+    return points, values, derivs
+
+
+def _seeds(p: SlitMapParams, w) -> np.ndarray:
+    """Newton seeds for targets w on or near the image [-x, 0] of [r, x].
+
+    f_x is real and increasing on [r, x], from f(r) = -x to f(x) = 0.  Its
+    inverse g is read off `_seed_table` by cubic Hermite interpolation in
+    Re w, with slopes 1/f_x', and clipped to [r, x].  A complex target adds
+    the first-order step i Im(w) g'(Re w), so real targets get real seeds
+    and complex targets complex ones.
+    """
+    points, values, derivs = _seed_table(p)
+    w = np.asarray(w)
+    v = np.clip(w.real, values[0], 0.0)
+    k = np.clip(np.searchsorted(values, v) - 1, 0, values.size - 2)
+    h = values[k + 1] - values[k]
+    t = (v - values[k]) / h
+    # g = points[k] + s0 t + c2 t^2 + c3 t^3 on the segment, s0 and s1 its
+    # slopes dg/dt = h/f' at the two ends.
+    s0, s1 = h / derivs[k], h / derivs[k + 1]
+    d = points[k + 1] - points[k]
+    c2 = 3.0 * d - 2.0 * s0 - s1
+    c3 = s0 + s1 - 2.0 * d
+    seeds = np.clip(points[k] + t * (s0 + t * (c2 + t * c3)), p.r, p.x)
+    if not np.iscomplexobj(w):
+        return seeds
+    dg = (s0 + t * (2.0 * c2 + 3.0 * t * c3)) / h
+    return seeds + 1j * w.imag * dg
 
 
 def f_inverse_real_segment(p: SlitMapParams, w: float) -> float:
@@ -407,9 +465,9 @@ class _Phi:
 
     T_x is the real Mobius map vanishing at c = f_x(x0), so phi_x fixes 0
     and sends the slit disk of f_{x0} onto the unit disk minus the recentred
-    slit T_x(Gamma_x).  c is computed once, on construction.  Preimages under
-    f_{x0} come from one `_newton` call seeded by `_seeds`, for a grid, an
-    arc or a single point alike.
+    slit T_x(Gamma_x).  c is computed once, on construction.  `solve` takes
+    preimages under f_{x0} from one `_newton` call seeded by `_seeds`, for a
+    grid, an arc or a single point alike.
     """
 
     def __init__(self, x: float, x0: float, modulus: AnnulusModulus) -> None:
@@ -446,15 +504,14 @@ class _Phi:
         """T_x(f_x(z)) at real preimages z under f_{x0}, scalar or array."""
         return np.real(mobius_apply(self.mob, f_eval(self.px, z)))
 
-    def grid(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and preimages at real points of [-x0, 0], in any order."""
-        pres = _newton(self.p0, xis, _seeds(self.p0, xis)).real
-        return self(pres), pres
+    def solve(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Values and preimages at points of, or near, the segment [-x0, 0].
 
-    def along(self, points) -> np.ndarray:
-        """Complex values at points near the real segment [-x0, 0]."""
+        One `_newton` call from `_seeds`.  Real points, in any order, give
+        real values and preimages; complex points give complex ones.
+        """
         pres = _newton(self.p0, points, _seeds(self.p0, points))
-        return mobius_apply(self.mob, f_eval(self.px, pres))
+        return mobius_apply(self.mob, f_eval(self.px, pres)), pres
 
 
 def q_of(x: float, x0: float, m: AnnulusModulus) -> float:

@@ -177,7 +177,7 @@ class TestPhiUniformity:
             x = std_config.x0 - 2.0 ** (-k)
             phi = _Phi(x, std_config.x0, modulus)
             grid = np.linspace(-std_config.x0, 0.0, 200)[:-1]
-            vals, _ = phi.grid(grid)
+            vals, _ = phi.solve(grid)
             deriv = np.gradient(vals, grid)
             deviations.append(float(np.abs(deriv - 1.0).max()))
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
@@ -324,3 +324,39 @@ class TestWorkCounts:
         monkeypatch.setattr(slitmap, "_newton", counting)
         nondegenerate_evidence(std_config, std_certificate)
         assert sizes == [len(std_config.n_list) * (std_config.m - 2) * ARC_SAMPLES]
+
+    def test_pipeline_builds_one_seed_table_per_modulus(self, std_config):
+        slitmap._seed_table.cache_clear()
+        cert = certify_degenerate(std_config)
+        revalidate_certificate(std_config, cert, std_config.trunc_tol / 100.0)
+        nondegenerate_evidence(std_config, cert)
+        assert slitmap._seed_table.cache_info().misses <= 2
+
+    def test_newton_passes_per_call(self, std_config, monkeypatch):
+        # Hermite seeds leave one Newton step on real grids and two on arcs;
+        # each pass is one `_map_log_deriv` call.
+        calls, inside = [], [False]
+        newton, map_log_deriv = slitmap._newton, slitmap._map_log_deriv
+
+        def counting_newton(p, w, z):
+            calls.append([np.iscomplexobj(w), 0])
+            inside[0] = True
+            try:
+                return newton(p, w, z)
+            finally:
+                inside[0] = False
+
+        def counting_pass(p, z):
+            if inside[0]:
+                calls[-1][1] += 1
+            return map_log_deriv(p, z)
+
+        monkeypatch.setattr(slitmap, "_newton", counting_newton)
+        monkeypatch.setattr(slitmap, "_map_log_deriv", counting_pass)
+        cert = certify_degenerate(std_config)
+        revalidate_certificate(std_config, cert, std_config.trunc_tol / 100.0)
+        real = [n for is_complex, n in calls if not is_complex]
+        assert real and max(real) <= 2
+        calls.clear()
+        nondegenerate_evidence(std_config, cert)
+        assert len(calls) == 1 and calls[0][0] and calls[0][1] <= 3

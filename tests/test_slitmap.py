@@ -341,6 +341,18 @@ class TestInverse:
         with pytest.raises(DomainError):
             f_inverse_real_segment(params, -0.9)
 
+    @pytest.mark.parametrize("r, x", [(0.95, 0.95005), (0.9, 0.9001)])
+    def test_stretched_segment_meets_stop_rule(self, r, x):
+        # f_x maps [r, x] onto [-x, 0], so |f'| there averages x/(x - r),
+        # 2e4 and 9e3 here, and rounding z alone can leave a residual above
+        # NEWTON_TOL (1 + |w|).
+        p = SlitMapParams(AnnulusModulus(r), x)
+        z = f_inverse_real_segment(p, -0.5)
+        assert slitmap._converged(f_eval(p, z) + 0.5, -0.5, z, f_prime(p, z))
+        w = np.linspace(-x, 0.0, 2001)[:-1]
+        z = slitmap._newton(p, w, slitmap._seeds(p, w))
+        assert np.all(slitmap._converged(f_eval(p, z) - w, w, z, f_prime(p, z)))
+
     def test_diverging_seed_raises(self, params):
         with pytest.raises((ConvergenceError, DomainError)):
             f_inverse(params, 5.0 + 0j, 0.8)
@@ -412,7 +424,7 @@ class TestArrayNewton:
             return scalar(p, w, seed)
 
         monkeypatch.setattr(slitmap, "f_inverse", counting)
-        _, pres = phi.grid(xis)
+        _, pres = phi.solve(xis)
         assert calls == []
         assert np.all(np.abs(f_eval(phi.p0, pres) - xis) <= slitmap.NEWTON_TOL * (1.0 + np.abs(xis)))
 
@@ -424,9 +436,28 @@ class TestArrayNewton:
         w = np.linspace(-x, 0.0, 2001)
         seeds = slitmap._seeds(p, w)
         assert np.all((seeds >= r) & (seeds <= x))
-        assert np.abs(f_eval(p, seeds) - w).max() <= 0.01
+        assert np.abs(f_eval(p, seeds) - w).max() <= 1e-4
         got = slitmap._newton(p, w, seeds)
         assert np.all(np.abs(f_eval(p, got) - w) <= slitmap.NEWTON_TOL * (1.0 + np.abs(w)))
+
+    @pytest.mark.parametrize("r", [0.02, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("at", [0.02, 0.5, 0.99])
+    def test_real_targets_solve_in_float64(self, r, at):
+        p = SlitMapParams(AnnulusModulus(r, 1e-12), r + at * (1.0 - r))
+        w = np.linspace(-p.x, 0.0, 1001)
+        seeds = slitmap._seeds(p, w)
+        got = slitmap._newton(p, w, seeds)
+        ref = slitmap._newton(p, w.astype(complex), seeds.astype(complex))
+        assert got.dtype == np.float64 and ref.dtype == np.complex128
+        assert np.all(ref.imag == 0.0)
+        # The two differ by the rounding of f_x, ulps of w carried back
+        # through 1/f', and by the last ulps of z: about 1e-15 relative where
+        # f' is of order 1, but 1e-13 at r = 0.02, x = 0.99, where f' is small
+        # near r.  w = 0 is solved by z = x exactly.
+        fp = np.abs(f_prime(p, got[:-1]))
+        bound = 2.0 * np.spacing(got[:-1]) + 32.0 * slitmap.EPS * (1.0 + np.abs(w[:-1])) / fp
+        assert np.all(np.abs(got - ref.real)[:-1] <= bound)
+        assert got[-1] == ref[-1] == p.x
 
     def test_arc_matches_scalar_continuation(self):
         # At n = 5 an arc's half-length 1/(8n) is 2.5 continuation steps.
@@ -442,7 +473,7 @@ class TestArrayNewton:
                     for i in half:
                         z = f_inverse(phi.p0, complex(pts[i]), z)
                         ref[i] = mobius_apply(phi.mob, f_eval(phi.px, z))
-                assert np.abs(phi.along(pts) - ref).max() < 1e-11
+                assert np.abs(phi.solve(pts)[0] - ref).max() < 1e-11
 
 
 class TestMobius:
@@ -519,7 +550,7 @@ class TestRecentredQuantities:
     def test_grid_values_match_pointwise_evaluation(self):
         phi = _Phi(0.73125, 0.8, AnnulusModulus(0.25))
         xis = -0.8 + 0.8 * np.arange(1000)[::-1] / 1000.0
-        _, pres = phi.grid(xis)
+        _, pres = phi.solve(xis)
         assert pres.shape == (1000,) and np.all(np.diff(pres) < 0.0)
         assert np.array_equal(phi(pres), [phi(float(z)) for z in pres])
 

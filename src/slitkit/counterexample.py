@@ -79,10 +79,12 @@ class CounterexampleConfig:
             object.__setattr__(self, "epsilon", eps_max)
         if not (0.0 < self.epsilon <= eps_max + 1e-15):
             raise DomainError(f"epsilon must lie in (0, {eps_max}]")
-        if self.x_grid_step <= 0.0 or self.xi_scan_step <= 0.0:
-            raise DomainError("grid steps must be positive")
-        if self.tol <= 0.0:
-            raise DomainError("tol must be positive")
+        # nan fails every comparison, so test "finite and positive" as one.
+        steps = (self.x_grid_step, self.xi_scan_step)
+        if not all(math.isfinite(s) and s > 0.0 for s in steps):
+            raise DomainError("grid steps must be positive and finite")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError("tol must be positive and finite")
         n_list = tuple(int(n) for n in self.n_list)
         if not n_list or any(n <= 0 for n in n_list):
             raise DomainError("n_list must be nonempty positive integers")
@@ -91,8 +93,8 @@ class CounterexampleConfig:
         object.__setattr__(self, "n_list", n_list)
         if self.m < 3:
             raise DomainError("connectivity m must be at least 3")
-        if self.trunc_tol <= 0.0:
-            raise DomainError("trunc_tol must be positive")
+        # AnnulusModulus checks trunc_tol, the factor limit included.
+        self.modulus()
 
     def modulus(self, trunc_tol: float | None = None) -> AnnulusModulus:
         return AnnulusModulus(self.r, self.trunc_tol if trunc_tol is None else trunc_tol)

@@ -50,16 +50,20 @@ class DiscreteMeasure:
         return float(self.weights.sum())
 
 
-def uniform_circle_measure(
-    radius: float, mass: float = 1.0, n_nodes: int = 4096
-) -> DiscreteMeasure:
-    """Equal weights on equally spaced nodes of a circle."""
+def _check_uniform(radius: float, mass: float, n_nodes: int) -> None:
     if not (math.isfinite(radius) and radius > 0.0):
         raise DomainError("radius must be positive")
     if mass < 0.0 or not math.isfinite(mass):
         raise DomainError("mass must be nonnegative")
     if n_nodes < 1:
         raise DomainError("need at least one node")
+
+
+def uniform_circle_measure(
+    radius: float, mass: float = 1.0, n_nodes: int = 4096
+) -> DiscreteMeasure:
+    """Equal weights on equally spaced nodes of a circle."""
+    _check_uniform(radius, mass, n_nodes)
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     nodes = radius * np.exp(1j * theta)
     weights = np.full(n_nodes, mass / n_nodes)
@@ -74,6 +78,7 @@ def uniform_arc_measure(
     n_nodes: int = 1024,
 ) -> DiscreteMeasure:
     """Equal weights on equally spaced nodes of a circular arc."""
+    _check_uniform(radius, mass, n_nodes)
     if theta_max <= theta_min:
         raise DomainError("arc needs theta_min < theta_max")
     theta = np.linspace(theta_min, theta_max, n_nodes)
@@ -253,8 +258,5 @@ def competitor_boundary_dist(
     t = MobiusReal(c)
     theta = 2.0 * np.pi * np.arange(COMPETITOR_SAMPLES) / COMPETITOR_SAMPLES
     ring = np.exp(1j * theta)
-    best = math.inf
-    for rad in (1.0, r):
-        vals = mobius_apply(t, f_eval(p, rad * ring))
-        best = min(best, float(np.abs(vals).min()))
-    return best
+    vals = mobius_apply(t, f_eval(p, np.concatenate([ring, r * ring])))
+    return float(np.abs(vals).min())

@@ -24,11 +24,15 @@ caller has already checked:
 The normalisation prod_n (1 - q^n)^-2 does not depend on z or a, so it is
 computed once per modulus (`AnnulusModulus.normalisation`) and multiplied in
 after the loop.  Moving it out of the loop changes only the rounding: the
-truncated product is the same.  With the default cap of 256 factors the
-normalisation is finite up to r = 0.9984 and inf beyond; every product
-built from inf is infinite or nan, and the callers' finiteness checks raise
-NumericalOverflowError.  There the cap keeps under 3 % of the factors that
-trunc_tol = 1e-12 asks for, so no value would meet the tolerance anyway.
+truncated product is the same.
+
+trunc_tol alone sets the factor count N.  A modulus that needs more than
+MAX_TERMS = 256 factors (r above about 0.947 at trunc_tol = 1e-12) is
+rejected with DomainError, which names a tolerance 256 factors meet, just
+above r^512; without the limit r near 1 would run loops of billions of
+factors.  Loose tolerances near r = 1 can still overflow the normalisation
+(r = 0.999 at trunc_tol = 0.6); the callers' finiteness checks then raise
+NumericalOverflowError.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ BAND_INNER = 0.99
 BAND_OUTER = 1.01
 
 
+# Most product factors a modulus may ask for; see the module docstring.
+MAX_TERMS = 256
+
+
 @dataclass(frozen=True)
 class AnnulusModulus:
     """Inner radius of the annulus together with truncation policy.
@@ -60,15 +68,12 @@ class AnnulusModulus:
     r : float
         Inner radius, 0 < r < 1.  The outer radius is always 1.
     trunc_tol : float
-        Target bound for r^(2N); the product keeps N factors with
-        r^(2N) <= trunc_tol.
-    max_terms : int
-        Hard cap on N.  When the cap binds, `capped` reports it.
+        Target bound for r^(2N); the product keeps the least N with
+        r^(2N) <= trunc_tol, and N may not exceed MAX_TERMS.
     """
 
     r: float
     trunc_tol: float = 1e-12
-    max_terms: int = 256
 
     def __post_init__(self) -> None:
         if not (isinstance(self.r, (int, float)) and math.isfinite(self.r)):
@@ -77,20 +82,22 @@ class AnnulusModulus:
             raise DomainError(f"annulus radius must lie in (0, 1), got {self.r}")
         if not (math.isfinite(self.trunc_tol) and self.trunc_tol > 0.0):
             raise DomainError("trunc_tol must be a positive finite number")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-
-    @cached_property
-    def _requested_terms(self) -> int:
-        """Factor count with r^(2N) <= trunc_tol, before max_terms applies."""
-        if self.trunc_tol >= 1.0:
-            return 0
-        return max(0, math.ceil(math.log(self.trunc_tol) / (2.0 * math.log(self.r))))
+        if self.n_terms > MAX_TERMS:
+            # 1 % above r^512 stays above it after rounding to three digits,
+            # so the printed tolerance is one that MAX_TERMS factors meet.
+            raise DomainError(
+                f"r = {self.r} needs {self.n_terms} product factors for "
+                f"trunc_tol = {self.trunc_tol:g}, more than {MAX_TERMS}; "
+                f"{MAX_TERMS} factors meet trunc_tol >= "
+                f"{1.01 * self.r ** (2 * MAX_TERMS):.3g}"
+            )
 
     @cached_property
     def n_terms(self) -> int:
-        """Number of retained product factors N, with r^(2N) <= trunc_tol."""
-        return min(self._requested_terms, self.max_terms)
+        """Retained factor count N, the least with r^(2N) <= trunc_tol."""
+        if self.trunc_tol >= 1.0:
+            return 0
+        return math.ceil(math.log(self.trunc_tol) / (2.0 * math.log(self.r)))
 
     @cached_property
     def normalisation(self) -> float:
@@ -103,11 +110,6 @@ class AnnulusModulus:
             one = 1.0 - rp
             out /= one * one
         return out
-
-    @property
-    def capped(self) -> bool:
-        """True when max_terms truncated the requested factor count."""
-        return self._requested_terms > self.max_terms
 
 
 def _check_band(v, m: AnnulusModulus, name: str) -> None:
@@ -229,9 +231,7 @@ def prime_omega_log_deriv(z, a, m: AnnulusModulus):
     return out
 
 
-def truncation_error_bound(
-    m: AnnulusModulus, z_mag: float, a_mag: float, n_terms: int | None = None
-) -> float:
+def truncation_error_bound(m: AnnulusModulus, z_mag: float, a_mag: float) -> float:
     """Rigorous relative error bound for truncating the factor product.
 
     Each omitted factor differs from 1 by q^n (2 - u - 1/u) / (1 - q^n)^2 with
@@ -248,10 +248,7 @@ def truncation_error_bound(
     for name, mag in (("z_mag", z_mag), ("a_mag", a_mag)):
         if not (math.isfinite(mag) and lo < mag < hi):
             raise DomainError(f"{name} must lie in ({lo:.6g}, {hi:.6g})")
-    n = m.n_terms if n_terms is None else int(n_terms)
-    if n < 0:
-        raise DomainError("n_terms must be nonnegative")
     q = m.r * m.r
     p = z_mag / a_mag
     c = 2.0 * (2.0 + p + 1.0 / p) / ((1.0 - q) * (1.0 - q))
-    return c * q ** (n + 1) / (1.0 - q)
+    return c * q ** (m.n_terms + 1) / (1.0 - q)

@@ -120,6 +120,32 @@ class TestErrorPaths:
         assert code == 1
         assert cli.ENV_TRUNC_TOL in err
 
+    @pytest.mark.parametrize("r, x, z", [
+        ("0.95", "0.96", "0.955,0.01"),
+        ("0.97", "0.98", "0.975,0.01"),
+        ("0.99", "0.995", "0.9925,0.01"),
+    ])
+    def test_unreachable_tolerance_exits_one(self, capsys, r, x, z):
+        # The default 1e-12 needs more than MAX_TERMS factors here; at r = 0.97
+        # this map printed a value 5.9e-9 off with exit 0.
+        argv = ["map", "--r", r, "--x", x, "--z", z]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"slitkit: r = {r} needs ")
+        reach = err.rsplit(">= ", 1)[1].strip()
+        code, out, _ = run_cli(capsys, argv + ["--trunc-tol", reach])
+        assert code == 0
+        p = SlitMapParams(AnnulusModulus(float(r), float(reach)), float(x))
+        w = complex(f_eval(p, cli._complex_arg(z)))
+        assert out == f"{w.real!r},{w.imag!r}\n"
+
+    def test_nan_tol_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, ["certify", "--r", "0.25", "--x0", "0.8", "--tol", "nan"])
+        assert code == 1
+        assert out == ""
+        assert "tol must be positive and finite" in err
+
 
 class TestDefaults:
     def test_env_truncation_override(self, capsys, monkeypatch):

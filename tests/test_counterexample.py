@@ -58,6 +58,20 @@ class TestConfig:
         with pytest.raises(DomainError):
             CounterexampleConfig(r=0.25, x0=0.8, n_list=(10, 10))
 
+    @pytest.mark.parametrize("field", ["tol", "x_grid_step", "xi_scan_step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_steps_and_tol(self, field, value):
+        # nan passed the old "<= 0" tests: tol = nan gave a failed certificate,
+        # and the steps failed later with a bare ValueError or a point error.
+        with pytest.raises(DomainError, match="finite"):
+            CounterexampleConfig(r=0.25, x0=0.8, **{field: value})
+
+    @pytest.mark.parametrize("trunc_tol", [math.nan, 0.0, 1e-12])
+    def test_rejects_truncation_the_product_cannot_meet(self, trunc_tol):
+        # 1e-12 needs 339 factors at r = 0.96; nan and 0 are no tolerance.
+        with pytest.raises(DomainError, match="trunc_tol"):
+            CounterexampleConfig(r=0.96, x0=0.99, trunc_tol=trunc_tol)
+
 
 class TestDeltaOf:
     def test_precondition_error_at_x0(self, std_config):

@@ -35,6 +35,18 @@ class TestMeasures:
         assert ang.min() >= 0.2 - 1e-12
         assert ang.max() <= 0.9 + 1e-12
 
+    @pytest.mark.parametrize("radius, mass, n_nodes", [
+        (-1.0, 1.0, 1024), (0.0, 1.0, 1024), (math.nan, 1.0, 1024),
+        (1.0, -1.0, 1024), (1.0, math.inf, 1024), (1.0, 1.0, 0),
+    ])
+    def test_measures_reject_bad_radius_mass_and_nodes(self, radius, mass, n_nodes):
+        # uniform_arc_measure(-1.0, 0.0, 1.0) once put the arc on the unit
+        # circle, turned by pi.
+        with pytest.raises(DomainError):
+            uniform_arc_measure(radius, 0.0, 1.0, mass, n_nodes)
+        with pytest.raises(DomainError):
+            uniform_circle_measure(radius, mass, n_nodes)
+
     def test_rejects_negative_weights(self):
         with pytest.raises(DomainError):
             DiscreteMeasure(np.array([1.0 + 0j]), np.array([-1.0]))

@@ -10,6 +10,7 @@ from slitkit.prime import (
     BAND_INNER,
     BAND_OUTER,
     FACTOR_ZERO,
+    MAX_TERMS,
     AnnulusModulus,
     _hits_factor_zero,
     _omega,
@@ -18,6 +19,11 @@ from slitkit.prime import (
     prime_omega_log_deriv,
     truncation_error_bound,
 )
+
+
+def _full_tol(r):
+    """1e-12, or a tolerance that exactly MAX_TERMS factors meet where 1e-12 needs more."""
+    return max(1e-12, 1.000001 * r ** (2 * MAX_TERMS))
 
 
 def _rel(a, b):
@@ -50,9 +56,15 @@ class TestModulus:
         assert prime_omega(z, a, m) == z - a
 
     def test_term_cap(self):
-        m = AnnulusModulus(0.99, 1e-12, max_terms=64)
-        assert m.n_terms == 64
-        assert m.capped
+        # 270, 454 and 1375 factors at 1e-12 are rejected; the message names
+        # r, the count and a tolerance just above r^512 that MAX_TERMS factors meet.
+        for r in (0.95, 0.97, 0.99):
+            with pytest.raises(DomainError, match=rf"r = {r} needs \d+ product factors") as err:
+                AnnulusModulus(r)
+            reach = float(str(err.value).rsplit(">= ", 1)[1])
+            assert r ** (2 * MAX_TERMS) <= reach < 1.02 * r ** (2 * MAX_TERMS)
+            assert AnnulusModulus(r, reach).n_terms == MAX_TERMS
+            assert AnnulusModulus(r, _full_tol(r)).n_terms == MAX_TERMS
 
 
 class TestIdentities:
@@ -124,8 +136,10 @@ class TestTruncation:
             assert observed.max() < 2.0 * bound
 
     def test_bound_decreases_in_terms(self):
-        m = AnnulusModulus(0.5, 1e-12)
-        bounds = [truncation_error_bound(m, 1.0, 0.7, n_terms=n) for n in (2, 5, 10, 20)]
+        # 2, 5, 10 and 20 factors at r = 0.5
+        ms = [AnnulusModulus(0.5, tol) for tol in (1e-1, 1e-3, 1e-6, 1e-12)]
+        assert [m.n_terms for m in ms] == [2, 5, 10, 20]
+        bounds = [truncation_error_bound(m, 1.0, 0.7) for m in ms]
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
 
 
@@ -144,9 +158,9 @@ class TestDomainChecks:
                 prime_omega(complex(bad), 0.7, m)
 
     def test_overflowing_array_raises(self):
-        # 256 capped factors, each divided by (1 - q^n)^2 with q near 1
+        # 256 factors, each divided by (1 - q^n)^2 with q near 1
         with pytest.raises(NumericalOverflowError):
-            prime_omega(np.array([0.9995j]), 1.0 / 0.9995, AnnulusModulus(0.999))
+            prime_omega(np.array([0.9995j]), 1.0 / 0.9995, AnnulusModulus(0.999, _full_tol(0.999)))
 
     def test_log_deriv_matches_finite_differences(self):
         m = AnnulusModulus(0.5, 1e-12)
@@ -181,7 +195,7 @@ class TestDomainChecks:
         # Points that zero a factor exactly, a / q^n and q^n a with q^n formed
         # as the product loop forms it, plus random points: the nearest-index
         # test flags exactly the points that a test of every factor flags.
-        m = AnnulusModulus(r, 1e-12)
+        m = AnnulusModulus(r, _full_tol(r))
         q = r * r
         rp = np.cumprod(np.full(m.n_terms, q))
         lo, hi = BAND_INNER * q, BAND_OUTER / r

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from slitkit import slitmap
 from slitkit.counterexample import CounterexampleConfig, make_shrinking_arcs
 from slitkit.errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
-from slitkit.prime import AnnulusModulus, _omega_log_deriv
+from slitkit.prime import MAX_TERMS, AnnulusModulus, _omega_log_deriv, truncation_error_bound
 from slitkit.slitmap import (
     MobiusReal,
     SlitMapParams,
@@ -27,6 +27,11 @@ from slitkit.slitmap import (
     slit_endpoint,
     _Phi,
 )
+
+
+def _full_tol(r):
+    """1e-12, or a tolerance that exactly MAX_TERMS factors meet where 1e-12 needs more."""
+    return max(1e-12, 1.000001 * r ** (2 * MAX_TERMS))
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +91,8 @@ class TestPolesAndOverflow:
                 f_prime(params, np.array([0.6, z]))
 
     def test_overflowing_products_raise(self):
-        # 256 capped factors, each divided by (1 - q^n)^2 with q near 1
-        p = SlitMapParams(AnnulusModulus(0.999, 1e-12), 0.9995)
+        # 256 factors, each divided by (1 - q^n)^2 with q near 1
+        p = SlitMapParams(AnnulusModulus(0.999, _full_tol(0.999)), 0.9995)
         with pytest.raises(NumericalOverflowError):
             f_eval(p, 0.9995j)
         with pytest.raises(NumericalOverflowError):
@@ -99,6 +104,37 @@ class TestPolesAndOverflow:
             f_eval(p, np.array([0.9995j]))
         with pytest.raises(NumericalOverflowError):
             f_prime(p, np.array([0.9995j]))
+
+
+class TestTruncationLimit:
+    @pytest.mark.parametrize("r", [0.95, 0.97, 0.99])
+    def test_named_tolerance_meets_its_bound(self, r):
+        # The default tolerance needs more than MAX_TERMS factors and raises;
+        # at the tolerance the error names, f_x agrees with the infinite
+        # product within the truncation bounds of its two prime functions.
+        mp = pytest.importorskip("mpmath")
+        with pytest.raises(DomainError, match="product factors") as err:
+            AnnulusModulus(r)
+        m = AnnulusModulus(r, float(str(err.value).rsplit(">= ", 1)[1]))
+        x = 0.5 * (r + 1.0)
+        rng = np.random.default_rng(43)
+        mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 6)
+        z = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 6))
+        w = f_eval(SlitMapParams(m, x), z)
+        with mp.workdps(25):
+            q, xm = mp.mpf(r) ** 2, mp.mpf(x)
+            # the normalisation (1 - q^n)^-2 cancels in the ratio
+            n_full = int(mp.ceil(mp.log(mp.mpf(10) ** -20) / mp.log(q)))
+            for zz, ww, zm in zip(z.tolist(), w.tolist(), mag.tolist()):
+                zz = mp.mpc(zz)
+                ratio = (zz - xm) / (zz - 1 / xm)
+                for n in range(1, n_full + 1):
+                    qn = q ** n
+                    ratio *= ((1 - qn * zz / xm) * (1 - qn * xm / zz)
+                              / ((1 - qn * zz * xm) * (1 - qn / (zz * xm))))
+                ref = complex(-ratio / xm)
+                bound = truncation_error_bound(m, zm, x) + truncation_error_bound(m, zm, 1 / x)
+                assert abs(ww - ref) <= (bound + 1e-12) * abs(ref)
 
 
 class TestDerivative:
@@ -212,7 +248,7 @@ class TestWorkCounts:
         evals = []
         for r, x in zip(rs.tolist(), xs.tolist()):
             passes["_omega_log_deriv"] = 0
-            got = slit_endpoint(SlitMapParams(AnnulusModulus(r), x)).preimage_theta
+            got = slit_endpoint(SlitMapParams(AnnulusModulus(r, _full_tol(r)), x)).preimage_theta
             evals.append(passes["_omega_log_deriv"] // 2)
             assert abs(got - _bisected_endpoint_theta(r, x)) <= 2e-13
         assert np.median(evals) <= 20
@@ -221,7 +257,7 @@ class TestWorkCounts:
 
 def _bisected_endpoint_theta(r, x):
     """The preimage angle of the slit endpoint by plain bisection on h."""
-    m = AnnulusModulus(r)
+    m = AnnulusModulus(r, _full_tol(r))
 
     def h(theta):
         z = r * cmath.exp(1j * theta)
@@ -346,7 +382,7 @@ class TestInverse:
         # f_x maps [r, x] onto [-x, 0], so |f'| there averages x/(x - r),
         # 2e4 and 9e3 here, and rounding z alone can leave a residual above
         # NEWTON_TOL (1 + |w|).
-        p = SlitMapParams(AnnulusModulus(r), x)
+        p = SlitMapParams(AnnulusModulus(r, _full_tol(r)), x)
         z = f_inverse_real_segment(p, -0.5)
         assert slitmap._converged(f_eval(p, z) + 0.5, -0.5, z, f_prime(p, z))
         w = np.linspace(-x, 0.0, 2001)[:-1]
@@ -432,7 +468,7 @@ class TestArrayNewton:
     @pytest.mark.parametrize("near", ["r", "1"])
     def test_table_seeds_reach_every_real_target(self, r, near):
         x = r + 0.02 * (1.0 - r) if near == "r" else 0.99
-        p = SlitMapParams(AnnulusModulus(r, 1e-12), x)
+        p = SlitMapParams(AnnulusModulus(r, _full_tol(r)), x)
         w = np.linspace(-x, 0.0, 2001)
         seeds = slitmap._seeds(p, w)
         assert np.all((seeds >= r) & (seeds <= x))

@@ -106,8 +106,8 @@ def _print_complex(value: complex, fmt: str, out: str | None) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--trunc-tol", type=float, default=None,
-                        help="prime function truncation tolerance "
-                             f"(default ${ENV_TRUNC_TOL} or {DEFAULT_TRUNC_TOL})")
+                        help="bound on the prime function's relative truncation "
+                             f"error (default ${ENV_TRUNC_TOL} or {DEFAULT_TRUNC_TOL})")
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--format", default="text", choices=("text", "json"),
                         help="scalar output format")

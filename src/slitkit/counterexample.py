@@ -93,7 +93,7 @@ class CounterexampleConfig:
         object.__setattr__(self, "n_list", n_list)
         if self.m < 3:
             raise DomainError("connectivity m must be at least 3")
-        # AnnulusModulus checks trunc_tol, the factor limit included.
+        # AnnulusModulus checks trunc_tol, the term limit included.
         self.modulus()
 
     def modulus(self, trunc_tol: float | None = None) -> AnnulusModulus:

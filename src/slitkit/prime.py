@@ -1,14 +1,25 @@
 """Prime function of a concentric annulus.
 
-For the annulus r < |z| < 1 the prime function is evaluated through the
-factored product
+For the annulus r < |z| < 1 the prime function is the factored product
 
-    omega(z, a) = (z - a) * prod_{n>=1} (1 - q^n z/a)(1 - q^n a/z) / (1 - q^n)^2,
+    omega(z, a) = (z - a) * prod_{n>=1} (1 - q^n zeta)(1 - q^n/zeta) / (1 - q^n)^2,
 
-with q = r^2.  Each factor tends to 1 geometrically fast, so truncating the
-product after N terms leaves a relative error of order q^(N+1).  This form
-stays well conditioned for every r in (0, 1); the alternative expansions in
-powers of r alone lose digits as r approaches 1.
+with q = r^2 and zeta = z/a.  This form stays well conditioned for every r in
+(0, 1); the alternative expansions in powers of r alone lose digits as r
+approaches 1.  The kernels keep M head factors as they stand and sum the
+tail in closed form.  Expanding the logarithm of each tail factor in powers
+of zeta and summing over n > M gives, with q0 = q^(M+1),
+
+    log prod_{n>M} (...) = -sum_{k>=1} c_k (zeta^k + zeta^-k - 2),
+    c_k = q0^k / (k (1 - q^k)),
+
+which converges geometrically while q0 |zeta| < 1 and q0 / |zeta| < 1.  The
+kernels keep K terms of it (DLMF 17.2 and 20.5 for the q-product):
+
+    omega = (z - a) * prod_{n<=M} (...) * exp(-sum_{k<=K} c_k (zeta^k + zeta^-k - 2)).
+
+K = 0 is the plain product of M factors, run by the same code.
+`truncation_error_bound` bounds the remainder of the series in closed form.
 
 Evaluations accept scalars or numpy arrays and broadcast elementwise.
 The public functions check their arguments (band, poles, overflow) once per
@@ -17,28 +28,41 @@ caller has already checked:
 
 - `_omega(z, a, m)` returns omega(z, a);
 - `_omega_log_deriv(z, a, m)` returns (omega(z, a), d/dz log omega(z, a))
-  from one pass over the factors, for callers such as Newton's method that
-  need both.  Its value is bit for bit the value of `_omega`, because both
-  form the factors and their product in the same order.
+  from one pass over the head factors and the tail series, whose log
+  derivative is -(1/z) sum_k k c_k (zeta^k - zeta^-k).  Its value is bit for
+  bit the value of `_omega`, because both form the factors, the series and
+  their product in the same order.
 
-The normalisation prod_n (1 - q^n)^-2 does not depend on z or a, so it is
-computed once per modulus (`AnnulusModulus.normalisation`) and multiplied in
-after the loop.  Moving it out of the loop changes only the rounding: the
-truncated product is the same.
+The constants prod_{n<=M} (1 - q^n)^-2 and 2 sum_k c_k do not depend on z or
+a, so they are computed once per modulus (`AnnulusModulus.normalisation` and
+`AnnulusModulus.tail`).
 
-trunc_tol alone sets the factor count N.  A modulus that needs more than
-MAX_TERMS = 256 factors (r above about 0.947 at trunc_tol = 1e-12) is
-rejected with DomainError, which names a tolerance 256 factors meet, just
-above r^512; without the limit r near 1 would run loops of billions of
-factors.  Loose tolerances near r = 1 can still overflow the normalisation
-(r = 0.999 at trunc_tol = 0.6); the callers' finiteness checks then raise
-NumericalOverflowError.
+trunc_tol bounds the relative truncation error of omega(z, a) wherever
+r^2 <= |z/a| <= 1/r^2, which holds at every slit-map evaluation.  It bounds
+values, not derivatives: the series remainder R has |dR/dz| <= (K + 1) b/|z|
+for the bound b on |R| (`_remainder_bound`), so the log derivative's error
+can exceed trunc_tol by about that factor.  `AnnulusModulus.plan` picks the (M, K) of
+least cost that meets trunc_tol, from the measured costs HEAD_COST,
+TAIL_COST and EXP_COST; at 1e-12 that is 7 + 0 terms at r = 0.1, 8 + 14 at
+r = 0.9 and 36 + 36 at r = 0.99.  M is at least the least count with
+q0 |z/a| <= 1/2 for every z and a in the band that the public functions
+accept, so no tail factor vanishes there and `_hits_factor_zero` tests the
+head factors only.
+
+A modulus whose plan needs more than MAX_TERMS = 256 terms M + K (r above
+about 0.9983 at trunc_tol = 1e-12) is rejected with DomainError, which names
+a tolerance that 256 terms meet; above r = 0.9986 the rule for M alone asks
+for more than 256 head factors and no tolerance is met.  Without the limit r
+near 1 would run loops of billions of terms.  Near the limit omega itself
+outgrows the float range away from the real axis (r = 0.998 at
+z/a = 0.999i) and the normalisation does everywhere above r = 0.9985; the
+callers' finiteness checks then raise NumericalOverflowError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -54,9 +78,152 @@ FACTOR_ZERO = 1e-300
 BAND_INNER = 0.99
 BAND_OUTER = 1.01
 
-
-# Most product factors a modulus may ask for; see the module docstring.
+# Most terms M + K a modulus may ask for; see the module docstring.
 MAX_TERMS = 256
+
+# Cost of one head factor, one tail term, and the exp with the rest of the
+# tail's work per call, in head factors.  Fitted to timings of both kernels
+# over 8,192 complex points and on complex scalars (numpy 2.4, 2-vCPU x86-64
+# Xeon): a tail term cost 0.6 to 1.0 head factor, the exp 3.1 to 3.5.
+HEAD_COST = 1.0
+TAIL_COST = 0.8
+EXP_COST = 3.5
+
+
+def _remainder_bound(q: float, head: int, tail: int, rho1: float, rho2: float) -> float:
+    """Bound on the series remainder R after `tail` terms.
+
+    With rho1 = q0 |z/a| and rho2 = q0 |a/z|, both below 1, the omitted
+    terms k > K sum in magnitude to at most
+
+        [rho1^(K+1)/(1 - rho1) + rho2^(K+1)/(1 - rho2) + 2 q0^(K+1)/(1 - q0)]
+            / ((K + 1)(1 - q^(K+1))),
+
+    because 1/(k (1 - q^k)) decreases in k.
+    """
+    q0 = q ** (head + 1)
+    k1 = tail + 1
+    return (
+        rho1 ** k1 / (1.0 - rho1) + rho2 ** k1 / (1.0 - rho2)
+        + 2.0 * q0 ** k1 / (1.0 - q0)
+    ) / (k1 * (1.0 - q ** k1))
+
+
+def _relative(b: float) -> float:
+    """|e^R - 1| <= |R| e^|R| <= b e^b for |R| <= b; inf where that overflows."""
+    return b * math.exp(b) if b < 700.0 else math.inf
+
+
+def _worst_bound(q: float, head: int, tail: int) -> float:
+    """The relative bound at |z/a| = 1/q, the worst ratio trunc_tol covers."""
+    return _relative(_remainder_bound(q, head, tail, q ** head, q ** (head + 2)))
+
+
+def _meets(q: float, head: int, tail: int, tol: float) -> bool:
+    return _worst_bound(q, head, tail) <= tol
+
+
+def _least_tail(q: float, log_q: float, head: int, tol: float) -> int:
+    """Least K with which `head` factors meet tol.
+
+    The bound is at most rho^(K+1) (1 + q^(K+1))^2 / ((1 - rho)(K + 1)(1 - q^(K+1)))
+    with rho = q^head.  Solving its logarithm for K + 1, once without the
+    terms in K + 1 and once with them at the first estimate, lands within a
+    term or two of the least K; the exact test then steps to it.
+    """
+    log_rho = head * log_q
+    target = math.log(tol) - math.log1p(tol) + math.log1p(-(q ** head))
+    x = max(1.0, target / log_rho)
+    qx = q ** x
+    x = (target + math.log(x * (1.0 - qx)) - 2.0 * math.log1p(qx)) / log_rho
+    tail = max(0, math.ceil(x) - 1)
+    while not _meets(q, head, tail, tol):
+        tail += 1
+    while tail and _meets(q, head, tail - 1, tol):
+        tail -= 1
+    return tail
+
+
+def _plain_head(q: float, log_q: float, least: int, tol: float) -> int:
+    """Least M >= least with which the plain product (K = 0) meets tol.
+
+    The bound is at most q^M (1 + q)^2 / ((1 - q^M)(1 - q)); its logarithm
+    without the 1 - q^M gives the estimate, and the exact test steps to M.
+    """
+    estimate = math.log(tol) - math.log1p(tol) + math.log1p(-q) - 2.0 * math.log1p(q)
+    head = max(least, math.ceil(estimate / log_q))
+    while not _meets(q, head, 0, tol):
+        head += 1
+    while head > least and _meets(q, head - 1, 0, tol):
+        head -= 1
+    return head
+
+
+def _tightest_within_limit(q: float, least: int) -> tuple[float, int]:
+    """(bound, M): the least relative bound of M + K = MAX_TERMS over M >= least."""
+    return min(
+        ((_worst_bound(q, head, MAX_TERMS - head), head)
+         for head in range(least, MAX_TERMS + 1)),
+        default=(math.inf, least),
+    )
+
+
+def _min_head(r: float) -> int:
+    """Least M with q0 |z/a| <= 1/2 across the band, q0 = r^(2(M+1)).
+
+    The largest ratio in the band is BAND_OUTER / (BAND_INNER r^3), so the
+    rule reads r^(2M-1) <= BAND_INNER / (2 BAND_OUTER).
+    """
+    bound = math.log(BAND_INNER / (2.0 * BAND_OUTER)) / math.log(r)
+    return max(1, math.ceil(0.5 * (bound + 1.0)))
+
+
+def _plan(r: float, tol: float, least: int) -> tuple[int, int]:
+    """(M, K) of least cost that meets tol, with M >= least.
+
+    The candidates are the plain product (K = 0) and plans with a tail, one
+    K per M: the least K that `_least_tail` finds in closed form.  M (K + 1)
+    is about L = log(tol) / log(q) when the tail is kept, so the cost
+    HEAD_COST M + TAIL_COST K + EXP_COST is least near
+    M = sqrt(TAIL_COST L / HEAD_COST); from there the search steps to a
+    neighbouring M while that is cheaper, three to five M in all.  A plan of
+    more than MAX_TERMS terms gives way to one within it, when one meets tol.
+    """
+    # log q from log r: r * r underflows for r below 1e-154.
+    q, log_q = r * r, 2.0 * math.log(r)
+    costs = {}
+
+    def cost(head: int) -> tuple[float, int, int]:
+        """(cost, M, K) with the least K for M."""
+        if head not in costs:
+            tail = _least_tail(q, log_q, head, tol)
+            costs[head] = (HEAD_COST * head + TAIL_COST * tail
+                           + (EXP_COST if tail else 0.0), head, tail)
+        return costs[head]
+
+    span = (math.log(tol) - math.log1p(tol)) / log_q
+    head = max(least, round(math.sqrt(TAIL_COST * span / HEAD_COST)))
+    while True:
+        step = min(cost(h) for h in (head - 1, head + 1) if h >= least)
+        if step[0] >= cost(head)[0]:
+            break
+        head = step[1]
+    best = cost(head)
+    # The plain product needs at least the M with q^M / (1 - q) <= tol, the
+    # first term of its bound; test it only if that many could win.
+    fewest = (math.log(tol) + math.log1p(-q)) / log_q
+    if HEAD_COST * fewest < best[0]:
+        head = _plain_head(q, log_q, least, tol)
+        if HEAD_COST * head <= best[0]:
+            best = (HEAD_COST * head, head, 0)
+    if best[1] + best[2] > MAX_TERMS:
+        # A tail term costs less than a head factor, so the cheapest plan is
+        # not the shortest; fall back to the head count that gets the most
+        # out of MAX_TERMS terms, if that meets tol.
+        tightest, head = _tightest_within_limit(q, least)
+        if tightest <= tol:
+            return head, _least_tail(q, log_q, head, tol)
+    return best[1], best[2]
 
 
 @dataclass(frozen=True)
@@ -68,12 +235,16 @@ class AnnulusModulus:
     r : float
         Inner radius, 0 < r < 1.  The outer radius is always 1.
     trunc_tol : float
-        Target bound for r^(2N); the product keeps the least N with
-        r^(2N) <= trunc_tol, and N may not exceed MAX_TERMS.
+        Bound on the relative truncation error of omega(z, a) for
+        r^2 <= |z/a| <= 1/r^2.
+
+    `plan` is (M, K), the head factors and tail terms the kernels run: the
+    cheapest that meets trunc_tol, with at most MAX_TERMS terms.
     """
 
     r: float
     trunc_tol: float = 1e-12
+    plan: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.r, (int, float)) and math.isfinite(self.r)):
@@ -82,34 +253,59 @@ class AnnulusModulus:
             raise DomainError(f"annulus radius must lie in (0, 1), got {self.r}")
         if not (math.isfinite(self.trunc_tol) and self.trunc_tol > 0.0):
             raise DomainError("trunc_tol must be a positive finite number")
-        if self.n_terms > MAX_TERMS:
-            # 1 % above r^512 stays above it after rounding to three digits,
-            # so the printed tolerance is one that MAX_TERMS factors meet.
+        least = _min_head(self.r)
+        tightest = math.inf
+        if least <= MAX_TERMS:
+            object.__setattr__(self, "plan", _plan(self.r, self.trunc_tol, least))
+            if self.n_terms <= MAX_TERMS:
+                return
+            tightest = _tightest_within_limit(self.r * self.r, least)[0]
+        if math.isinf(tightest):
             raise DomainError(
-                f"r = {self.r} needs {self.n_terms} product factors for "
-                f"trunc_tol = {self.trunc_tol:g}, more than {MAX_TERMS}; "
-                f"{MAX_TERMS} factors meet trunc_tol >= "
-                f"{1.01 * self.r ** (2 * MAX_TERMS):.3g}"
+                f"r = {self.r} needs more than {MAX_TERMS} product terms for "
+                f"any trunc_tol"
             )
+        # 1 % above the tightest bound stays above it after rounding to three
+        # digits, so the printed tolerance is one MAX_TERMS terms meet.
+        head, tail = self.plan
+        raise DomainError(
+            f"r = {self.r} needs {head} product factors and {tail} series terms "
+            f"for trunc_tol = {self.trunc_tol:g}, more than {MAX_TERMS} terms; "
+            f"{MAX_TERMS} terms meet trunc_tol >= {1.01 * tightest:.3g}"
+        )
 
-    @cached_property
+    @property
     def n_terms(self) -> int:
-        """Retained factor count N, the least with r^(2N) <= trunc_tol."""
-        if self.trunc_tol >= 1.0:
-            return 0
-        return math.ceil(math.log(self.trunc_tol) / (2.0 * math.log(self.r)))
+        """Terms per kernel call, M head factors plus K tail terms."""
+        return self.plan[0] + self.plan[1]
 
     @cached_property
     def normalisation(self) -> float:
-        """prod_{n=1}^{N} (1 - q^n)^-2 over the retained factors, q = r^2."""
+        """prod_{n=1}^{M} (1 - q^n)^-2 over the head factors, q = r^2."""
         q = self.r * self.r
         rp = 1.0
         out = 1.0
-        for _ in range(self.n_terms):
+        for _ in range(self.plan[0]):
             rp *= q
             one = 1.0 - rp
             out /= one * one
         return out
+
+    @cached_property
+    def tail(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+        """(c_1 .. c_K, 1 c_1 .. K c_K, 2 sum_k c_k) of the tail series."""
+        head, tail = self.plan
+        q = self.r * self.r
+        q0 = q ** (head + 1)
+        coeffs = []
+        q0k = qk = 1.0
+        for k in range(1, tail + 1):
+            q0k *= q0
+            qk *= q
+            coeffs.append(q0k / (k * (1.0 - qk)))
+        coeffs = tuple(coeffs)
+        slopes = tuple(k * c for k, c in enumerate(coeffs, 1))
+        return coeffs, slopes, 2.0 * sum(coeffs)
 
 
 def _check_band(v, m: AnnulusModulus, name: str) -> None:
@@ -123,60 +319,85 @@ def _check_band(v, m: AnnulusModulus, name: str) -> None:
         )
 
 
+def _exp(x):
+    """np.exp, giving a Python scalar back for a Python scalar.
+
+    Scalars and arrays take the same numpy exp, so a point gives the same
+    bits alone as inside an array.
+    """
+    out = np.exp(x)
+    return out if isinstance(x, np.ndarray) else type(x)(out)
+
+
 def _omega(z, a, m: AnnulusModulus):
-    """(z - a) times the truncated factor product, for checked z and a."""
-    out = z - a
-    n = m.n_terms
-    if n:
-        q = m.r * m.r
-        za = z / a
-        az = a / z
-        rp = 1.0
-        t = 1.0
-        for _ in range(n):
-            rp *= q
-            t = t * ((1.0 - rp * za) * (1.0 - rp * az))
-        out = out * (t * m.normalisation)
+    """omega(z, a) from the head factors and the tail series, for checked z and a."""
+    za = z / a
+    az = a / z
+    q = m.r * m.r
+    rp = 1.0
+    t = 1.0
+    for _ in range(m.plan[0]):
+        rp *= q
+        t = t * ((1.0 - rp * za) * (1.0 - rp * az))
+    out = (z - a) * (t * m.normalisation)
+    coeffs, _, const = m.tail
+    if coeffs:
+        # Horner in zeta and in 1/zeta: p za = sum_k c_k zeta^k.
+        p = pi = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            p = p * za + c
+            pi = pi * az + c
+        out = out * _exp(const - (p * za + pi * az))
     return out
 
 
 def _omega_log_deriv(z, a, m: AnnulusModulus):
-    """`_omega` and its log derivative in z from one pass over the factors.
+    """`_omega` and its log derivative in z from one pass over the terms.
 
     z and a must be checked and z off the zeros of omega.  With u = q^n z/a
     and v = q^n a/z the factor 1 - u contributes -u/(z (1 - u)) and the
     factor 1 - v contributes v/(z (1 - v)).  Their sum is
     (v - u)/(z (1 - u)(1 - v)), so each factor pair costs one division by
-    the product (1 - u)(1 - v) that the value already forms.
+    the product (1 - u)(1 - v) that the value already forms.  The tail
+    contributes -(1/z) sum_k k c_k (zeta^k - zeta^-k), summed by Horner
+    beside the series itself.
     """
-    out = z - a
-    dlog = 1.0 / out
-    n = m.n_terms
-    if n:
-        q = m.r * m.r
-        za = z / a
-        az = a / z
-        rp = 1.0
-        t = 1.0
-        s = 0.0
-        for _ in range(n):
-            rp *= q
-            u = rp * za
-            v = rp * az
-            fuv = (1.0 - u) * (1.0 - v)
-            t = t * fuv
-            s = s + (v - u) / fuv
-        out = out * (t * m.normalisation)
-        dlog = dlog + s / z
-    return out, dlog
+    za = z / a
+    az = a / z
+    q = m.r * m.r
+    rp = 1.0
+    t = 1.0
+    s = 0.0
+    for _ in range(m.plan[0]):
+        rp *= q
+        u = rp * za
+        v = rp * az
+        fuv = (1.0 - u) * (1.0 - v)
+        t = t * fuv
+        s = s + (v - u) / fuv
+    diff = z - a
+    out = diff * (t * m.normalisation)
+    coeffs, slopes, const = m.tail
+    if coeffs:
+        p = pi = coeffs[-1]
+        d = di = slopes[-1]
+        for c, kc in zip(coeffs[-2::-1], slopes[-2::-1]):
+            p = p * za + c
+            pi = pi * az + c
+            d = d * za + kc
+            di = di * az + kc
+        out = out * _exp(const - (p * za + pi * az))
+        s = s - (d * za - di * az)
+    return out, 1.0 / diff + s / z
 
 
 def prime_omega(z, a, m: AnnulusModulus):
     """Evaluate the annulus prime function omega(z, a).
 
     Both arguments may be scalars or broadcastable numpy arrays.  The result
-    is (z - a) times the truncated factor product; with zero retained terms it
-    degenerates to z - a exactly.
+    is (z - a) times the head factors and the exp of the tail series, within
+    `truncation_error_bound` of the infinite product: within trunc_tol where
+    r^2 <= |z/a| <= 1/r^2.
     """
     _check_band(z, m, "z")
     _check_band(a, m, "a")
@@ -189,17 +410,20 @@ def prime_omega(z, a, m: AnnulusModulus):
 
 
 def _hits_factor_zero(z, a, m: AnnulusModulus) -> bool:
-    """True if a retained factor 1 - q^n z/a or 1 - q^n a/z is below FACTOR_ZERO.
+    """True if a head factor 1 - q^n z/a or 1 - q^n a/z is below FACTOR_ZERO.
 
     |q^n z/a| = 1 at n = -log|z/a| / log q and |q^n a/z| = 1 at the negative
-    of that, so only the nearest index in [1, N] can hold a zero.  Testing
+    of that, so only the nearest index in [1, M] can hold a zero.  Testing
     that one factor per point and side, with q^n formed as the product loop
-    forms it, needs memory of the size of the points, not N times it.
+    forms it, needs memory of the size of the points, not M times it.  The
+    tail needs no test: M keeps q^n |z/a| and q^n |a/z| at most 1/2 for
+    every n > M in the band, so no tail factor comes near 0.
     """
-    rp = np.cumprod(np.full(m.n_terms, m.r * m.r))
-    k = np.log(np.abs(z / a)) / math.log(m.r * m.r)
-    n_u = np.clip(np.rint(-k), 1, m.n_terms).astype(int) - 1
-    n_v = np.clip(np.rint(k), 1, m.n_terms).astype(int) - 1
+    head = m.plan[0]
+    rp = np.cumprod(np.full(head, m.r * m.r))
+    k = np.log(np.abs(z / a)) / (2.0 * math.log(m.r))
+    n_u = np.clip(np.rint(-k), 1, head).astype(int) - 1
+    n_v = np.clip(np.rint(k), 1, head).astype(int) - 1
     return bool(
         np.any(abs(1.0 - rp[n_u] * z / a) < FACTOR_ZERO)
         or np.any(abs(1.0 - rp[n_v] * a / z) < FACTOR_ZERO)
@@ -207,13 +431,14 @@ def _hits_factor_zero(z, a, m: AnnulusModulus) -> bool:
 
 
 def prime_omega_log_deriv(z, a, m: AnnulusModulus):
-    """Logarithmic derivative d/dz log omega(z, a) of the truncated product.
+    """Logarithmic derivative d/dz log omega(z, a) of the kernel's omega.
 
-    Differentiating the retained factors termwise gives
+    Differentiating the head factors termwise and the tail series gives
 
-        1/(z - a) + sum_n [ (-q^n/a)/(1 - q^n z/a) + (q^n a/z^2)/(1 - q^n a/z) ],
+        1/(z - a) + sum_{n<=M} [ (-q^n/a)/(1 - q^n z/a) + (q^n a/z^2)/(1 - q^n a/z) ]
+                  - (1/z) sum_{k<=K} k c_k ((z/a)^k - (a/z)^k),
 
-    which is exactly the derivative of the truncated prime function, so finite
+    which is exactly the derivative of what `prime_omega` evaluates, so finite
     difference checks against `prime_omega` close to machine precision.
     """
     _check_band(z, m, "z")
@@ -221,7 +446,7 @@ def prime_omega_log_deriv(z, a, m: AnnulusModulus):
     diff = z - a
     if np.any(np.abs(diff) < FACTOR_ZERO):
         raise PoleError("log derivative evaluated at z = a")
-    if m.n_terms and _hits_factor_zero(z, a, m):
+    if _hits_factor_zero(z, a, m):
         raise PoleError("log derivative evaluated at a zero of omega")
     # Only the log derivative is returned; the product beside it may overflow.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,23 +457,22 @@ def prime_omega_log_deriv(z, a, m: AnnulusModulus):
 
 
 def truncation_error_bound(m: AnnulusModulus, z_mag: float, a_mag: float) -> float:
-    """Rigorous relative error bound for truncating the factor product.
+    """Rigorous relative error bound of omega(z, a) for |z| = z_mag, |a| = a_mag.
 
-    Each omitted factor differs from 1 by q^n (2 - u - 1/u) / (1 - q^n)^2 with
-    u = z/a, so the omitted tail is controlled by the geometric sum
-
-        S = (2 + p + 1/p) / (1 - q)^2 * q^(N+1) / (1 - q),   p = z_mag / a_mag,
-
-    and |prod_tail - 1| <= exp(S) - 1 <= 2 S whenever S <= log 2.  The factor
-    2 is folded into the returned constant, keeping the bound of the form
-    C * r^(2(N+1)) / (1 - r^2) and monotone decreasing in N.
+    The kernels compute omega e^(-R), where R is the remainder of the tail
+    series after K terms.  `_remainder_bound` bounds |R| by b in closed form,
+    with rho1 = q0 p and rho2 = q0 / p for p = z_mag / a_mag; both stay at
+    most 1/2 in the band because of how the plan picks M.  The relative
+    error |e^(-R) - 1| is then at most b e^b.  With K = 0 the remainder is
+    the whole omitted product, and the bound holds for it too.
     """
     lo = BAND_INNER * m.r * m.r
     hi = BAND_OUTER / m.r
     for name, mag in (("z_mag", z_mag), ("a_mag", a_mag)):
         if not (math.isfinite(mag) and lo < mag < hi):
             raise DomainError(f"{name} must lie in ({lo:.6g}, {hi:.6g})")
+    head, tail = m.plan
     q = m.r * m.r
-    p = z_mag / a_mag
-    c = 2.0 * (2.0 + p + 1.0 / p) / ((1.0 - q) * (1.0 - q))
-    return c * q ** (m.n_terms + 1) / (1.0 - q)
+    q0 = q ** (head + 1)
+    rho1, rho2 = q0 * z_mag / a_mag, q0 * a_mag / z_mag
+    return _relative(_remainder_bound(q, head, tail, rho1, rho2))

@@ -9,7 +9,7 @@ import pytest
 
 from slitkit import cli, svgfig
 from slitkit.errors import DomainError
-from slitkit.prime import AnnulusModulus
+from slitkit.prime import AnnulusModulus, truncation_error_bound
 from slitkit.slitmap import SlitMapParams, f_eval
 from slitkit.svgfig import _polyline, plot_map
 
@@ -121,13 +121,13 @@ class TestErrorPaths:
         assert cli.ENV_TRUNC_TOL in err
 
     @pytest.mark.parametrize("r, x, z", [
-        ("0.95", "0.96", "0.955,0.01"),
-        ("0.97", "0.98", "0.975,0.01"),
-        ("0.99", "0.995", "0.9925,0.01"),
+        ("0.99836", "0.9992", "0.9988,0.01"),
+        ("0.9984", "0.9992", "0.9988,0.01"),
+        ("0.99845", "0.9993", "0.9989,0.01"),
     ])
     def test_unreachable_tolerance_exits_one(self, capsys, r, x, z):
-        # The default 1e-12 needs more than MAX_TERMS factors here; at r = 0.97
-        # this map printed a value 5.9e-9 off with exit 0.
+        # The default 1e-12 needs more than MAX_TERMS head factors and tail
+        # terms here; the message names a tolerance that MAX_TERMS terms meet.
         argv = ["map", "--r", r, "--x", x, "--z", z]
         code, out, err = run_cli(capsys, argv)
         assert code == 1
@@ -139,6 +139,38 @@ class TestErrorPaths:
         p = SlitMapParams(AnnulusModulus(float(r), float(reach)), float(x))
         w = complex(f_eval(p, cli._complex_arg(z)))
         assert out == f"{w.real!r},{w.imag!r}\n"
+
+    def test_r_beyond_every_tolerance_exits_one(self, capsys):
+        # Above r = 0.9986 the tail series needs more than MAX_TERMS head
+        # factors to converge across the band, whatever the tolerance.
+        for tol in ("1e-12", "0.5"):
+            code, out, err = run_cli(capsys, ["map", "--r", "0.999", "--x", "0.9995",
+                                              "--z", "0.9992,0.01", "--trunc-tol", tol])
+            assert code == 1
+            assert out == ""
+            assert err == "slitkit: r = 0.999 needs more than 256 product terms for any trunc_tol\n"
+
+    def test_map_near_r_one_meets_its_bound(self, capsys):
+        # 17 head factors and 24 tail terms at r = 0.97, where the plain
+        # product needs 454 factors for the default tolerance.
+        mp = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(capsys, ["map", "--r", "0.97", "--x", "0.98", "--z", "0.975,0.01"])
+        assert code == 0
+        w = complex(*map(float, out.split(",")))
+        m = AnnulusModulus(0.97)
+        z = complex(0.975, 0.01)
+        with mp.workdps(30):
+            q, x, zm = mp.mpf(0.97) ** 2, mp.mpf(0.98), mp.mpc(z)
+            ratio, qn = (zm - x) / (zm - 1 / x), q
+            while qn > mp.mpf(10) ** -25:
+                ratio *= ((1 - qn * zm / x) * (1 - qn * x / zm)
+                          / ((1 - qn * zm * x) * (1 - qn / (zm * x))))
+                qn *= q
+            ref = -ratio / x
+            err = float(abs(mp.mpc(w) - ref) / abs(ref))
+        bound = (truncation_error_bound(m, abs(z), 0.98)
+                 + truncation_error_bound(m, abs(z), 1 / 0.98))
+        assert err <= bound + 1e-14
 
     def test_nan_tol_exits_one(self, capsys):
         code, out, err = run_cli(capsys, ["certify", "--r", "0.25", "--x0", "0.8", "--tol", "nan"])

@@ -68,9 +68,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("trunc_tol", [math.nan, 0.0, 1e-12])
     def test_rejects_truncation_the_product_cannot_meet(self, trunc_tol):
-        # 1e-12 needs 339 factors at r = 0.96; nan and 0 are no tolerance.
+        # 1e-12 needs 224 head factors and 39 tail terms at r = 0.9984, more
+        # than MAX_TERMS = 256; nan and 0 are no tolerance.
         with pytest.raises(DomainError, match="trunc_tol"):
-            CounterexampleConfig(r=0.96, x0=0.99, trunc_tol=trunc_tol)
+            CounterexampleConfig(r=0.9984, x0=0.9995, trunc_tol=trunc_tol)
 
 
 class TestDeltaOf:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slitkit import prime
 from slitkit.errors import DomainError, NumericalOverflowError, PoleError
 from slitkit.prime import (
     BAND_INNER,
@@ -21,9 +22,30 @@ from slitkit.prime import (
 )
 
 
-def _full_tol(r):
-    """1e-12, or a tolerance that exactly MAX_TERMS factors meet where 1e-12 needs more."""
-    return max(1e-12, 1.000001 * r ** (2 * MAX_TERMS))
+def _plan_cost(head, tail):
+    return prime.HEAD_COST * head + prime.TAIL_COST * tail + (prime.EXP_COST if tail else 0.0)
+
+
+def _assert_within_bound(m, mp_omega, seed=17):
+    """prime_omega meets the infinite product within its bound plus 1e-14.
+
+    The points are interior ones, |z| and |a| in (r, 1), and band-edge ones:
+    |z/a| at 1/r^2 and r^2, the edge of the band trunc_tol covers, and at the
+    edges of the band prime_omega accepts.
+    """
+    mp = pytest.importorskip("mpmath")
+    r = m.r
+    rng = np.random.default_rng(seed)
+    lo, hi = BAND_INNER * r * r * (1.0 + 1e-9), BAND_OUTER / r * (1.0 - 1e-9)
+    mags = [(rng.uniform(r, 1.0), rng.uniform(r, 1.0)) for _ in range(4)]
+    mags += [(1.0, r * r * (1.0 + 1e-9)), (r * r * (1.0 + 1e-9), 1.0), (hi, lo), (lo, hi)]
+    with mp.workdps(30):
+        for zm, am in mags:
+            z = zm * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            a = am * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            ref = mp_omega(complex(z), complex(a), r)
+            err = float(abs(mp.mpc(complex(prime_omega(z, a, m))) - ref) / abs(ref))
+            assert err <= truncation_error_bound(m, zm, am) + 1e-14, (r, zm, am)
 
 
 def _rel(a, b):
@@ -49,22 +71,54 @@ class TestModulus:
         tight = AnnulusModulus(0.5, 1e-14)
         assert tight.n_terms > loose.n_terms
 
-    def test_tolerance_one_means_no_factors(self):
-        m = AnnulusModulus(0.5, 1.0)
-        assert m.n_terms == 0
-        z, a = 0.8 + 0.1j, 0.7 - 0.2j
-        assert prime_omega(z, a, m) == z - a
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+    def test_tolerance_one_meets_its_bound(self, r, mp_omega):
+        # The loosest tolerance still keeps a head factor: the tail series
+        # converges only for q^(M+1) |z/a| < 1, and M = 0 leaves q |z/a| up
+        # to 1 in the band.
+        m = AnnulusModulus(r, 1.0)
+        assert m.plan[0] >= 1
+        _assert_within_bound(m, mp_omega)
 
     def test_term_cap(self):
-        # 270, 454 and 1375 factors at 1e-12 are rejected; the message names
-        # r, the count and a tolerance just above r^512 that MAX_TERMS factors meet.
-        for r in (0.95, 0.97, 0.99):
-            with pytest.raises(DomainError, match=rf"r = {r} needs \d+ product factors") as err:
+        # The limit binds on M + K: at 1e-12 the plan needs 263 and 278 terms
+        # at r = 0.9984 and 0.9985, and the message names a tolerance just
+        # above the tightest bound that MAX_TERMS terms reach.  Above
+        # r = 0.9986 the rule for M alone asks for more than MAX_TERMS factors.
+        for r in (0.9984, 0.9985):
+            with pytest.raises(DomainError, match=rf"r = {r} needs \d+ product factors and \d+ series terms") as err:
                 AnnulusModulus(r)
             reach = float(str(err.value).rsplit(">= ", 1)[1])
-            assert r ** (2 * MAX_TERMS) <= reach < 1.02 * r ** (2 * MAX_TERMS)
-            assert AnnulusModulus(r, reach).n_terms == MAX_TERMS
-            assert AnnulusModulus(r, _full_tol(r)).n_terms == MAX_TERMS
+            m = AnnulusModulus(r, reach)
+            assert m.n_terms <= MAX_TERMS
+            tightest = truncation_error_bound(m, 1.0, r * r * (1.0 + 1e-12))
+            assert tightest <= reach < 1.02 * tightest
+        for r in (0.9987, 0.999, 0.9999):
+            with pytest.raises(DomainError, match=rf"r = {r} needs more than {MAX_TERMS} product terms for any"):
+                AnnulusModulus(r, 0.5)
+
+    def test_plan_is_the_cheapest(self):
+        # Deterministic work counts at trunc_tol = 1e-12, (M, K) per r.  For
+        # scale, the rule r^(2N) <= trunc_tol gives the plain product 6, 16,
+        # 20, 39, 62 and 132 factors at r = 0.1, 0.4, 0.5, 0.7, 0.8 and 0.9.
+        plans = {0.1: (7, 0), 0.2: (3, 2), 0.4: (3, 4), 0.5: (4, 4), 0.7: (4, 8),
+                 0.8: (6, 9), 0.9: (8, 14), 0.97: (17, 24), 0.99: (36, 36)}
+        assert {r: AnnulusModulus(r).plan for r in plans} == plans
+        most = {0.1: 7, 0.4: 7, 0.5: 8, 0.7: 12, 0.8: 15, 0.9: 22, 0.97: 41, 0.99: 72}
+        assert all(AnnulusModulus(r).n_terms <= n for r, n in most.items())
+        # The closed-form plan costs no more than a search over every M with
+        # its least K, the plain product (K = 0) included.
+        for r in (0.02, 0.1, 0.2, 0.4, 0.7, 0.9, 0.97, 0.99):
+            for tol in (1e-3, 1e-8, 1e-12, 1e-15):
+                m = AnnulusModulus(r, tol)
+                cost = _plan_cost(*m.plan)
+                least = prime._min_head(r)
+                for head in range(least, least + 80):
+                    tail = 0
+                    while not prime._meets(r * r, head, tail, tol):
+                        tail += 1
+                    assert tail == prime._least_tail(r * r, 2.0 * math.log(r), head, tol)
+                    assert cost <= _plan_cost(head, tail) + 1e-9
 
 
 class TestIdentities:
@@ -135,12 +189,20 @@ class TestTruncation:
             )
             assert observed.max() < 2.0 * bound
 
-    def test_bound_decreases_in_terms(self):
-        # 2, 5, 10 and 20 factors at r = 0.5
+    def test_bound_decreases_in_terms(self, mp_omega):
+        # 3, 6, 6 and 8 terms at r = 0.5: the plain product, then tails
         ms = [AnnulusModulus(0.5, tol) for tol in (1e-1, 1e-3, 1e-6, 1e-12)]
-        assert [m.n_terms for m in ms] == [2, 5, 10, 20]
+        assert [m.plan for m in ms] == [(3, 0), (6, 0), (2, 4), (4, 4)]
         bounds = [truncation_error_bound(m, 1.0, 0.7) for m in ms]
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
+        for m in ms:
+            # trunc_tol holds out to |z/a| = 1/r^2 and r^2
+            assert truncation_error_bound(m, 1.0, 0.25 * (1.0 + 1e-12)) <= m.trunc_tol
+            _assert_within_bound(m, mp_omega)
+
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.97, 0.99])
+    def test_bound_holds_against_infinite_product(self, r, mp_omega):
+        _assert_within_bound(AnnulusModulus(r), mp_omega)
 
 
 class TestDomainChecks:
@@ -158,9 +220,10 @@ class TestDomainChecks:
                 prime_omega(complex(bad), 0.7, m)
 
     def test_overflowing_array_raises(self):
-        # 256 factors, each divided by (1 - q^n)^2 with q near 1
+        # 179 head factors and 38 tail terms at r = 0.998: omega at
+        # z/a = 0.999i is about exp(900)
         with pytest.raises(NumericalOverflowError):
-            prime_omega(np.array([0.9995j]), 1.0 / 0.9995, AnnulusModulus(0.999, _full_tol(0.999)))
+            prime_omega(np.array([0.9995j]), 1.0 / 0.9995, AnnulusModulus(0.998))
 
     def test_log_deriv_matches_finite_differences(self):
         m = AnnulusModulus(0.5, 1e-12)
@@ -195,9 +258,9 @@ class TestDomainChecks:
         # Points that zero a factor exactly, a / q^n and q^n a with q^n formed
         # as the product loop forms it, plus random points: the nearest-index
         # test flags exactly the points that a test of every factor flags.
-        m = AnnulusModulus(r, _full_tol(r))
+        m = AnnulusModulus(r)
         q = r * r
-        rp = np.cumprod(np.full(m.n_terms, q))
+        rp = np.cumprod(np.full(m.plan[0], q))
         lo, hi = BAND_INNER * q, BAND_OUTER / r
         rng = np.random.default_rng(41)
         hits = 0
@@ -214,13 +277,13 @@ class TestDomainChecks:
         assert hits > 0
 
     def test_log_deriv_pole_check_memory_is_linear(self):
-        # 8,192 points at r = 0.9 (132 factors): an n_terms x N pole test
-        # peaked at 43 MB here.
-        m = AnnulusModulus(0.9, 1e-12)
-        z = 0.95 * np.exp(1j * np.linspace(0.1, 6.2, 8192))
+        # 8,192 points at r = 0.998 (179 head factors): a pole test of every
+        # head factor at every point would hold 179 x 8,192 complex values.
+        m = AnnulusModulus(0.998)
+        z = 0.999 * np.exp(1j * np.linspace(0.1, 6.2, 8192))
         tracemalloc.start()
         try:
-            prime_omega_log_deriv(z, 0.93, m)
+            prime_omega_log_deriv(z, 0.9985, m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -30,7 +30,10 @@ from slitkit.slitmap import (
 
 
 def _full_tol(r):
-    """1e-12, or a tolerance that exactly MAX_TERMS factors meet where 1e-12 needs more."""
+    """max(1e-12, 1.000001 r^(2 MAX_TERMS)): 1e-12 up to r = 0.947, looser above.
+
+    At r = 0.95 it is 3.97e-12, at r = 0.97 1.7e-7.
+    """
     return max(1e-12, 1.000001 * r ** (2 * MAX_TERMS))
 
 
@@ -91,8 +94,9 @@ class TestPolesAndOverflow:
                 f_prime(params, np.array([0.6, z]))
 
     def test_overflowing_products_raise(self):
-        # 256 factors, each divided by (1 - q^n)^2 with q near 1
-        p = SlitMapParams(AnnulusModulus(0.999, _full_tol(0.999)), 0.9995)
+        # 179 head factors and 38 tail terms at r = 0.998; the prime
+        # functions reach about exp(900) at z = 0.9995i
+        p = SlitMapParams(AnnulusModulus(0.998), 0.9995)
         with pytest.raises(NumericalOverflowError):
             f_eval(p, 0.9995j)
         with pytest.raises(NumericalOverflowError):
@@ -106,35 +110,60 @@ class TestPolesAndOverflow:
             f_prime(p, np.array([0.9995j]))
 
 
+def _assert_map_within_bound(m, x, z):
+    """f_eval meets the infinite-product map within the sum of the two prime
+    functions' truncation bounds plus 1e-14, relative.
+
+    The reference multiplies the ratios of matching factors of omega(z, x)
+    and omega(z, 1/x), in which the normalisation cancels, until q^n falls
+    below 1e-18 (1 - q): the omitted tail is then below 1e-17 relative.
+    """
+    mp = pytest.importorskip("mpmath")
+    w = f_eval(SlitMapParams(m, x), z)
+    with mp.workdps(22):
+        q, xm = mp.mpf(m.r) ** 2, mp.mpf(x)
+        stop = mp.mpf(1e-18) * (1 - q)
+        for zz, ww in zip(np.atleast_1d(z).tolist(), np.atleast_1d(w).tolist()):
+            zm = mp.mpc(zz)
+            ratio, qn = (zm - xm) / (zm - 1 / xm), q
+            while qn > stop:
+                ratio *= ((1 - qn * zm / xm) * (1 - qn * xm / zm)
+                          / ((1 - qn * zm * xm) * (1 - qn / (zm * xm))))
+                qn *= q
+            ref = -ratio / xm
+            err = float(abs(mp.mpc(ww) - ref) / abs(ref))
+            bound = (truncation_error_bound(m, abs(zz), x)
+                     + truncation_error_bound(m, abs(zz), 1.0 / x))
+            assert err <= bound + 1e-14, (m.r, zz)
+
+
 class TestTruncationLimit:
-    @pytest.mark.parametrize("r", [0.95, 0.97, 0.99])
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.97, 0.99])
+    def test_default_tolerance_meets_its_bound(self, r):
+        # Interior points and points on the edges of the extended annulus
+        # r^2/x < |z| < 1/x, where z/x and z x reach r^2 and 1/r^2.
+        m = AnnulusModulus(r)
+        x = 0.5 * (r + 1.0)
+        rng = np.random.default_rng(43)
+        mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 6)
+        mag = np.append(mag, [r * r / x * (1.0 + 1e-9), (1.0 - 1e-9) / x])
+        z = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, mag.size))
+        _assert_map_within_bound(m, x, z)
+
+    @pytest.mark.parametrize("r", [0.99836, 0.9984])
     def test_named_tolerance_meets_its_bound(self, r):
-        # The default tolerance needs more than MAX_TERMS factors and raises;
-        # at the tolerance the error names, f_x agrees with the infinite
-        # product within the truncation bounds of its two prime functions.
-        mp = pytest.importorskip("mpmath")
-        with pytest.raises(DomainError, match="product factors") as err:
+        # The default tolerance needs more than MAX_TERMS terms here and
+        # raises; at the tolerance the error names, f_x agrees with the
+        # infinite product within its bound.  The prime functions overflow
+        # away from the positive real axis at this r, and everywhere above
+        # r = 0.9985, so the points keep |arg z| <= 0.3.
+        with pytest.raises(DomainError, match="series terms") as err:
             AnnulusModulus(r)
         m = AnnulusModulus(r, float(str(err.value).rsplit(">= ", 1)[1]))
         x = 0.5 * (r + 1.0)
         rng = np.random.default_rng(43)
-        mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 6)
-        z = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 6))
-        w = f_eval(SlitMapParams(m, x), z)
-        with mp.workdps(25):
-            q, xm = mp.mpf(r) ** 2, mp.mpf(x)
-            # the normalisation (1 - q^n)^-2 cancels in the ratio
-            n_full = int(mp.ceil(mp.log(mp.mpf(10) ** -20) / mp.log(q)))
-            for zz, ww, zm in zip(z.tolist(), w.tolist(), mag.tolist()):
-                zz = mp.mpc(zz)
-                ratio = (zz - xm) / (zz - 1 / xm)
-                for n in range(1, n_full + 1):
-                    qn = q ** n
-                    ratio *= ((1 - qn * zz / xm) * (1 - qn * xm / zz)
-                              / ((1 - qn * zz * xm) * (1 - qn / (zz * xm))))
-                ref = complex(-ratio / xm)
-                bound = truncation_error_bound(m, zm, x) + truncation_error_bound(m, zm, 1 / x)
-                assert abs(ww - ref) <= (bound + 1e-12) * abs(ref)
+        mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 2)
+        _assert_map_within_bound(m, x, mag * np.exp(1j * rng.uniform(-0.3, 0.3, 2)))
 
 
 class TestDerivative:
@@ -154,8 +183,8 @@ class TestDerivative:
         assert abs(d - fd.real) < 1e-6 * abs(d)
         assert d > 1.0 / (1.0 - 0.75 ** 2)
 
-    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
-    def test_array_matches_central_difference_and_mpmath(self, r):
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_array_matches_central_difference_and_mpmath(self, r, mp_omega):
         mp = pytest.importorskip("mpmath")
         m = AnnulusModulus(r, 1e-12)
         p = SlitMapParams(m, 0.5 * (r + 1.0))
@@ -169,16 +198,22 @@ class TestDerivative:
             + 8.0 * f_eval(p, z + h) - f_eval(p, z + 2 * h)
         ) / (12.0 * h)
         assert np.max(np.abs(d - cd) / (1.0 + np.abs(d))) < 1e-8
-        # mpmath differentiates the same truncated product at 30 digits
+        # mpmath differentiates, at 30 digits, the function the kernels
+        # evaluate: M head factors times the exp of K series terms.  trunc_tol
+        # bounds values, not derivatives, so the values alone are held to the
+        # infinite product.
+        head, tail = m.plan
         with mp.workdps(30):
-            x = mp.mpf(p.x)
-            qs = [mp.mpf(r) ** (2 * n) for n in range(1, m.n_terms + 1)]
+            x, q = mp.mpf(p.x), mp.mpf(r) ** 2
+            c = [q ** ((head + 1) * k) / (k * (1 - q ** k)) for k in range(1, tail + 1)]
 
             def omega(w, a):
                 out = w - a
-                for qn in qs:
-                    out *= (1 - qn * w / a) * (1 - qn * a / w) / (1 - qn) ** 2
-                return out
+                for n in range(1, head + 1):
+                    out *= (1 - q ** n * w / a) * (1 - q ** n * a / w) / (1 - q ** n) ** 2
+                zeta = w / a
+                return out * mp.exp(-sum(ck * (zeta ** k + zeta ** -k - 2)
+                                         for k, ck in enumerate(c, 1)))
 
             def f(w):
                 return -(omega(w, x) / omega(w, 1 / x)) / x
@@ -186,6 +221,7 @@ class TestDerivative:
             for zz, dd in zip(z[::512].tolist(), d[::512].tolist()):
                 ref = complex(mp.diff(f, mp.mpc(zz)))
                 assert abs(dd - ref) < 1e-12 * (1.0 + abs(ref))
+        _assert_map_within_bound(m, p.x, z[::512])
 
     def test_derivative_nonzero_on_annulus(self, params):
         z = np.exp(1j * np.linspace(0.1, 2.0, 50)) * 0.8
@@ -251,7 +287,7 @@ class TestWorkCounts:
             got = slit_endpoint(SlitMapParams(AnnulusModulus(r, _full_tol(r)), x)).preimage_theta
             evals.append(passes["_omega_log_deriv"] // 2)
             assert abs(got - _bisected_endpoint_theta(r, x)) <= 2e-13
-        assert np.median(evals) <= 20
+        assert np.median(evals) <= 17
         assert max(evals) <= 47
 
 
@@ -289,16 +325,17 @@ class TestBracketRoot:
 
         def g(t):
             calls.append(t)
-            return t - 0.25
+            return t - 0.5
 
-        # the first false-position point is 0.25, where g is exactly 0
-        assert slitmap._bracket_root(g, 0.0, 1.0, -0.25, 0.75, 1e-12) == 0.25
-        assert calls == [0.25]
+        # the first step lands on 0.5, both the false-position point and the
+        # midpoint, where g is exactly 0
+        assert slitmap._bracket_root(g, 0.0, 1.0, -0.5, 0.5, 1e-12) == 0.5
+        assert calls == [0.5]
 
     def test_lopsided_function_beats_bisection(self):
         # g(1) is about 1e117 and g(0) about -1: plain regula falsi creeps in
-        # from 0 for hundreds of steps; the Illinois rule and the bisection
-        # fallback keep it under the 40 steps of bisection to 1e-12
+        # from 0 for hundreds of steps; the Illinois rule and the ITP
+        # truncation keep it under the 40 steps of bisection to 1e-12
         calls = []
 
         def g(t):
@@ -308,6 +345,20 @@ class TestBracketRoot:
         root = slitmap._bracket_root(g, 0.0, 1.0, g(0.0), g(1.0), 1e-12)
         assert abs(root - 0.1) <= 1e-12
         assert len(calls) - 2 <= 40
+
+    @pytest.mark.parametrize("power, scale", [(3, 1.0), (9, 1e6)])
+    def test_multiple_root_stays_within_bisection_count(self, power, scale):
+        # Regula falsi with the Illinois rule alone took 117 and 151
+        # evaluations on these, where bisection to 1e-12 takes 40.
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return scale * (t - 0.3) ** power
+
+        root = slitmap._bracket_root(g, 0.0, 1.0, g(0.0), g(1.0), 1e-12)
+        assert abs(root - 0.3) <= 1e-12
+        assert len(calls) - 2 <= 40 + slitmap.ITP_N0
 
     @pytest.mark.parametrize("seed", range(20))
     def test_noisy_function_ends_within_twice_bisection(self, seed):

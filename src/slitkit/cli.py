@@ -25,7 +25,7 @@ from .potential import (
     radii_solve,
     squeezing_annulus,
 )
-from .prime import AnnulusModulus, prime_omega
+from .prime import DEFAULT_TRUNC_TOL, AnnulusModulus, prime_omega
 from .slitmap import SlitMapParams, f_eval
 from .svgfig import plot_map
 
@@ -33,7 +33,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAILED_CERT = 2
 
-DEFAULT_TRUNC_TOL = 1e-12
 ENV_TRUNC_TOL = "SLITKIT_TRUNC_TOL"
 
 

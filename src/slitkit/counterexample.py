@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, GeometryError
 from .potential import harmonic_measure_upper_bound, shrink_mass_bound
-from .prime import AnnulusModulus, truncation_error_bound
+from .prime import DEFAULT_TRUNC_TOL, AnnulusModulus, truncation_error_bound
 from .slitmap import SlitMapParams, _bracket_root, _Phi, f_inverse, slit_endpoint
 
 MARGIN_KEYS = (
@@ -67,7 +67,7 @@ class CounterexampleConfig:
     tol: float = 1e-6
     n_list: tuple[int, ...] = (10, 20, 40, 80, 160)
     m: int = 3
-    trunc_tol: float = 1e-12
+    trunc_tol: float = DEFAULT_TRUNC_TOL
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .prime import AnnulusModulus
+from .prime import DEFAULT_TRUNC_TOL, AnnulusModulus
 from .slitmap import MobiusReal, SlitMapParams, f_eval, mobius_apply
 
 NODE_CLEARANCE = 1e-12
@@ -238,7 +238,7 @@ def competitor_boundary_dist(
     r: float,
     x: float,
     z0: float,
-    trunc_tol: float = 1e-12,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
     inverted: bool = False,
 ) -> float:
     """Sampled dist(0, boundary image) for one normalized competitor map.

@@ -39,24 +39,19 @@ a, so they are computed once per modulus (`AnnulusModulus.normalisation` and
 
 trunc_tol bounds the relative truncation error of omega(z, a) wherever
 r^2 <= |z/a| <= 1/r^2, which holds at every slit-map evaluation.  It bounds
-values, not derivatives: the series remainder R has |dR/dz| <= (K + 1) b/|z|
-for the bound b on |R| (`_remainder_bound`), so the log derivative's error
-can exceed trunc_tol by about that factor.  `AnnulusModulus.plan` picks the (M, K) of
-least cost that meets trunc_tol, from the measured costs HEAD_COST,
-TAIL_COST and EXP_COST; at 1e-12 that is 7 + 0 terms at r = 0.1, 8 + 14 at
-r = 0.9 and 36 + 36 at r = 0.99.  M is at least the least count with
-q0 |z/a| <= 1/2 for every z and a in the band that the public functions
-accept, so no tail factor vanishes there and `_hits_factor_zero` tests the
-head factors only.
+values, not derivatives; `prime_omega_log_deriv` bounds the log derivative.
+`AnnulusModulus.plan` is (M, K): M by r alone (`_head`), K the least count
+with which M meets trunc_tol; at 1e-12, 2 + 2 terms at r = 0.1, 11 + 11 at
+r = 0.9 and 37 + 35 at r = 0.99.  M keeps q0 |z/a| <= 1/2 in the band, so
+no tail factor vanishes there and `_hits_factor_zero` tests the head only.
 
 A modulus whose plan needs more than MAX_TERMS = 256 terms M + K (r above
-about 0.9983 at trunc_tol = 1e-12) is rejected with DomainError, which names
-a tolerance that 256 terms meet; above r = 0.9986 the rule for M alone asks
-for more than 256 head factors and no tolerance is met.  Without the limit r
-near 1 would run loops of billions of terms.  Near the limit omega itself
-outgrows the float range away from the real axis (r = 0.998 at
-z/a = 0.999i) and the normalisation does everywhere above r = 0.9985; the
-callers' finiteness checks then raise NumericalOverflowError.
+about 0.99835 at trunc_tol = 1e-12) is rejected with DomainError, which
+names a tolerance that the same M meets with 256 terms.  Above about
+r = 0.99850 the head normalisation overflows and every tolerance is
+rejected.  Near the limit omega itself outgrows the float range away from
+the real axis (r = 0.998 at z/a = 0.999i); the callers' finiteness checks
+then raise NumericalOverflowError.
 """
 
 from __future__ import annotations
@@ -81,13 +76,9 @@ BAND_OUTER = 1.01
 # Most terms M + K a modulus may ask for; see the module docstring.
 MAX_TERMS = 256
 
-# Cost of one head factor, one tail term, and the exp with the rest of the
-# tail's work per call, in head factors.  Fitted to timings of both kernels
-# over 8,192 complex points and on complex scalars (numpy 2.4, 2-vCPU x86-64
-# Xeon): a tail term cost 0.6 to 1.0 head factor, the exp 3.1 to 3.5.
-HEAD_COST = 1.0
-TAIL_COST = 0.8
-EXP_COST = 3.5
+# Default bound on the relative truncation error of omega; it also sets the
+# head count M of every modulus (`_head`).
+DEFAULT_TRUNC_TOL = 1e-12
 
 
 def _remainder_bound(q: float, head: int, tail: int, rho1: float, rho2: float) -> float:
@@ -119,11 +110,7 @@ def _worst_bound(q: float, head: int, tail: int) -> float:
     return _relative(_remainder_bound(q, head, tail, q ** head, q ** (head + 2)))
 
 
-def _meets(q: float, head: int, tail: int, tol: float) -> bool:
-    return _worst_bound(q, head, tail) <= tol
-
-
-def _least_tail(q: float, log_q: float, head: int, tol: float) -> int:
+def _least_tail(r: float, head: int, tol: float) -> int:
     """Least K with which `head` factors meet tol.
 
     The bound is at most rho^(K+1) (1 + q^(K+1))^2 / ((1 - rho)(K + 1)(1 - q^(K+1)))
@@ -131,99 +118,36 @@ def _least_tail(q: float, log_q: float, head: int, tol: float) -> int:
     terms in K + 1 and once with them at the first estimate, lands within a
     term or two of the least K; the exact test then steps to it.
     """
+    # log q from log r: r * r underflows for r below 1e-154.
+    q, log_q = r * r, 2.0 * math.log(r)
     log_rho = head * log_q
     target = math.log(tol) - math.log1p(tol) + math.log1p(-(q ** head))
     x = max(1.0, target / log_rho)
     qx = q ** x
     x = (target + math.log(x * (1.0 - qx)) - 2.0 * math.log1p(qx)) / log_rho
     tail = max(0, math.ceil(x) - 1)
-    while not _meets(q, head, tail, tol):
+    while _worst_bound(q, head, tail) > tol:
         tail += 1
-    while tail and _meets(q, head, tail - 1, tol):
+    while tail and _worst_bound(q, head, tail - 1) <= tol:
         tail -= 1
     return tail
 
 
-def _plain_head(q: float, log_q: float, least: int, tol: float) -> int:
-    """Least M >= least with which the plain product (K = 0) meets tol.
+def _head(r: float) -> int:
+    """M for r, the larger of two rules; trunc_tol plays no part.
 
-    The bound is at most q^M (1 + q)^2 / ((1 - q^M)(1 - q)); its logarithm
-    without the 1 - q^M gives the estimate, and the exact test steps to M.
+    - Band: the least M with q0 |z/a| <= 1/2 across the band,
+      q0 = r^(2(M+1)).  The largest ratio in the band is
+      BAND_OUTER / (BAND_INNER r^3), so it reads
+      r^(2M-1) <= BAND_INNER / (2 BAND_OUTER).
+    - Balance: with a tail kept, M (K + 1) is about L = log(tol) / log(q),
+      so M = round(sqrt(L)) at tol = DEFAULT_TRUNC_TOL makes M and K about
+      equal there.
     """
-    estimate = math.log(tol) - math.log1p(tol) + math.log1p(-q) - 2.0 * math.log1p(q)
-    head = max(least, math.ceil(estimate / log_q))
-    while not _meets(q, head, 0, tol):
-        head += 1
-    while head > least and _meets(q, head - 1, 0, tol):
-        head -= 1
-    return head
-
-
-def _tightest_within_limit(q: float, least: int) -> tuple[float, int]:
-    """(bound, M): the least relative bound of M + K = MAX_TERMS over M >= least."""
-    return min(
-        ((_worst_bound(q, head, MAX_TERMS - head), head)
-         for head in range(least, MAX_TERMS + 1)),
-        default=(math.inf, least),
-    )
-
-
-def _min_head(r: float) -> int:
-    """Least M with q0 |z/a| <= 1/2 across the band, q0 = r^(2(M+1)).
-
-    The largest ratio in the band is BAND_OUTER / (BAND_INNER r^3), so the
-    rule reads r^(2M-1) <= BAND_INNER / (2 BAND_OUTER).
-    """
-    bound = math.log(BAND_INNER / (2.0 * BAND_OUTER)) / math.log(r)
-    return max(1, math.ceil(0.5 * (bound + 1.0)))
-
-
-def _plan(r: float, tol: float, least: int) -> tuple[int, int]:
-    """(M, K) of least cost that meets tol, with M >= least.
-
-    The candidates are the plain product (K = 0) and plans with a tail, one
-    K per M: the least K that `_least_tail` finds in closed form.  M (K + 1)
-    is about L = log(tol) / log(q) when the tail is kept, so the cost
-    HEAD_COST M + TAIL_COST K + EXP_COST is least near
-    M = sqrt(TAIL_COST L / HEAD_COST); from there the search steps to a
-    neighbouring M while that is cheaper, three to five M in all.  A plan of
-    more than MAX_TERMS terms gives way to one within it, when one meets tol.
-    """
-    # log q from log r: r * r underflows for r below 1e-154.
-    q, log_q = r * r, 2.0 * math.log(r)
-    costs = {}
-
-    def cost(head: int) -> tuple[float, int, int]:
-        """(cost, M, K) with the least K for M."""
-        if head not in costs:
-            tail = _least_tail(q, log_q, head, tol)
-            costs[head] = (HEAD_COST * head + TAIL_COST * tail
-                           + (EXP_COST if tail else 0.0), head, tail)
-        return costs[head]
-
-    span = (math.log(tol) - math.log1p(tol)) / log_q
-    head = max(least, round(math.sqrt(TAIL_COST * span / HEAD_COST)))
-    while True:
-        step = min(cost(h) for h in (head - 1, head + 1) if h >= least)
-        if step[0] >= cost(head)[0]:
-            break
-        head = step[1]
-    best = cost(head)
-    # The plain product needs at least the M with q^M / (1 - q) <= tol, the
-    # first term of its bound; test it only if that many could win.
-    fewest = (math.log(tol) + math.log1p(-q)) / log_q
-    if HEAD_COST * fewest < best[0]:
-        head = _plain_head(q, log_q, least, tol)
-        if HEAD_COST * head <= best[0]:
-            best = (HEAD_COST * head, head, 0)
-    if best[1] + best[2] > MAX_TERMS:
-        # A tail term costs less than a head factor, so the cheapest plan is
-        # not the shortest; fall back to the head count that gets the most
-        # out of MAX_TERMS terms, if that meets tol.
-        tightest, head = _tightest_within_limit(q, least)
-        if tightest <= tol:
-            return head, _least_tail(q, log_q, head, tol)
-    return best[1], best[2]
+    log_r = math.log(r)
+    band = math.ceil(0.5 * (math.log(BAND_INNER / (2.0 * BAND_OUTER)) / log_r + 1.0))
+    balance = round(math.sqrt(math.log(DEFAULT_TRUNC_TOL) / (2.0 * log_r)))
+    return max(1, band, balance)
 
 
 @dataclass(frozen=True)
@@ -238,12 +162,14 @@ class AnnulusModulus:
         Bound on the relative truncation error of omega(z, a) for
         r^2 <= |z/a| <= 1/r^2.
 
-    `plan` is (M, K), the head factors and tail terms the kernels run: the
-    cheapest that meets trunc_tol, with at most MAX_TERMS terms.
+    `plan` is (M, K), the head factors and tail terms the kernels run: M by
+    r alone (`_head`), K the least count with which M meets trunc_tol, and
+    M + K at most MAX_TERMS.  r above about 0.99850 is rejected for every
+    trunc_tol, because the head factors' normalisation overflows there.
     """
 
     r: float
-    trunc_tol: float = 1e-12
+    trunc_tol: float = DEFAULT_TRUNC_TOL
     plan: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -253,26 +179,29 @@ class AnnulusModulus:
             raise DomainError(f"annulus radius must lie in (0, 1), got {self.r}")
         if not (math.isfinite(self.trunc_tol) and self.trunc_tol > 0.0):
             raise DomainError("trunc_tol must be a positive finite number")
-        least = _min_head(self.r)
-        tightest = math.inf
-        if least <= MAX_TERMS:
-            object.__setattr__(self, "plan", _plan(self.r, self.trunc_tol, least))
-            if self.n_terms <= MAX_TERMS:
-                return
-            tightest = _tightest_within_limit(self.r * self.r, least)[0]
-        if math.isinf(tightest):
+        head = _head(self.r)
+        if head > MAX_TERMS:
             raise DomainError(
                 f"r = {self.r} needs more than {MAX_TERMS} product terms for "
                 f"any trunc_tol"
             )
-        # 1 % above the tightest bound stays above it after rounding to three
-        # digits, so the printed tolerance is one MAX_TERMS terms meet.
-        head, tail = self.plan
-        raise DomainError(
-            f"r = {self.r} needs {head} product factors and {tail} series terms "
-            f"for trunc_tol = {self.trunc_tol:g}, more than {MAX_TERMS} terms; "
-            f"{MAX_TERMS} terms meet trunc_tol >= {1.01 * tightest:.3g}"
-        )
+        tail = _least_tail(self.r, head, self.trunc_tol)
+        object.__setattr__(self, "plan", (head, tail))
+        if math.isinf(self.normalisation):
+            raise DomainError(
+                f"r = {self.r} overflows the normalisation prod (1 - q^n)^-2 "
+                f"of its {head} head factors, for any trunc_tol"
+            )
+        if head + tail > MAX_TERMS:
+            # 1 % above the bound stays above it after rounding to three
+            # digits, so the printed tolerance is one the same M meets with
+            # MAX_TERMS terms.
+            reach = 1.01 * _worst_bound(self.r * self.r, head, MAX_TERMS - head)
+            raise DomainError(
+                f"r = {self.r} needs {head} product factors and {tail} series "
+                f"terms for trunc_tol = {self.trunc_tol:g}, more than "
+                f"{MAX_TERMS} terms; {MAX_TERMS} terms meet trunc_tol >= {reach:.3g}"
+            )
 
     @property
     def n_terms(self) -> int:
@@ -440,6 +369,12 @@ def prime_omega_log_deriv(z, a, m: AnnulusModulus):
 
     which is exactly the derivative of what `prime_omega` evaluates, so finite
     difference checks against `prime_omega` close to machine precision.
+
+    It is off the infinite product's by R' = (1/z) sum_{k>K} k c_k (zeta^k -
+    zeta^-k), the remainder's derivative.  As k c_k <= q0^k / (1 - q^(K+1)),
+    with rho1 and rho2 as in `truncation_error_bound`,
+
+        |R'| <= [rho1^(K+1)/(1 - rho1) + rho2^(K+1)/(1 - rho2)] / ((1 - q^(K+1)) |z|).
     """
     _check_band(z, m, "z")
     _check_band(a, m, "a")

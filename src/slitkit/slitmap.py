@@ -201,6 +201,13 @@ def f_prime(p: SlitMapParams, z):
     the formula stays accurate arbitrarily close to x, failing only when
     z = x exactly.  Every other zero of either prime function in the annulus
     of holomorphy is a pole of f_x, which the checks of `_map` reject.
+
+    trunc_tol bounds values only.  Against the infinite product, each of the
+    two log derivatives is off by at most the |R'| bound that
+    `prime_omega_log_deriv` states, for a = x and a = 1/x, and f_x by the
+    sum B of the two `truncation_error_bound`s, so to first order
+
+        |f_x' - exact| <= |f_x| (|R'_x| + |R'_{1/x}|) + B |f_x'|.
     """
     _check_extended_annulus(p, z)
     if np.any(np.abs(z - p.x) < FACTOR_ZERO):

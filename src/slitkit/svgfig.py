@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .prime import AnnulusModulus
+from .prime import DEFAULT_TRUNC_TOL, AnnulusModulus
 from .slitmap import SlitMapParams, f_eval, slit_endpoint
 
 PANEL_SIZE = 420.0
@@ -49,7 +49,7 @@ def plot_map(
     r: float,
     x: float,
     grid: tuple[int, int] = (8, 12),
-    trunc_tol: float = 1e-12,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> str:
     """Render the annulus polar grid and its image under f_x as an SVG string.
 

@@ -151,7 +151,7 @@ class TestErrorPaths:
             assert err == "slitkit: r = 0.999 needs more than 256 product terms for any trunc_tol\n"
 
     def test_map_near_r_one_meets_its_bound(self, capsys):
-        # 17 head factors and 24 tail terms at r = 0.97, where the plain
+        # 21 head factors and 20 tail terms at r = 0.97, where the plain
         # product needs 454 factors for the default tolerance.
         mp = pytest.importorskip("mpmath")
         code, out, _ = run_cli(capsys, ["map", "--r", "0.97", "--x", "0.98", "--z", "0.975,0.01"])

@@ -1,9 +1,10 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slitkit import prime
 from slitkit.errors import DomainError, NumericalOverflowError, PoleError
@@ -20,10 +21,6 @@ from slitkit.prime import (
     prime_omega_log_deriv,
     truncation_error_bound,
 )
-
-
-def _plan_cost(head, tail):
-    return prime.HEAD_COST * head + prime.TAIL_COST * tail + (prime.EXP_COST if tail else 0.0)
 
 
 def _assert_within_bound(m, mp_omega, seed=17):
@@ -81,44 +78,64 @@ class TestModulus:
         _assert_within_bound(m, mp_omega)
 
     def test_term_cap(self):
-        # The limit binds on M + K: at 1e-12 the plan needs 263 and 278 terms
-        # at r = 0.9984 and 0.9985, and the message names a tolerance just
-        # above the tightest bound that MAX_TERMS terms reach.  Above
-        # r = 0.9986 the rule for M alone asks for more than MAX_TERMS factors.
-        for r in (0.9984, 0.9985):
-            with pytest.raises(DomainError, match=rf"r = {r} needs \d+ product factors and \d+ series terms") as err:
-                AnnulusModulus(r)
-            reach = float(str(err.value).rsplit(">= ", 1)[1])
-            m = AnnulusModulus(r, reach)
-            assert m.n_terms <= MAX_TERMS
-            tightest = truncation_error_bound(m, 1.0, r * r * (1.0 + 1e-12))
-            assert tightest <= reach < 1.02 * tightest
+        # The limit binds on M + K: at 1e-12 the plan needs 224 + 39 = 263
+        # terms at r = 0.9984, and the message names a tolerance just above
+        # the bound that the same M reaches with MAX_TERMS terms.  From
+        # r = 0.9985 the normalisation of the head factors overflows, and
+        # above r = 0.9986 the rule for M alone asks for more than MAX_TERMS
+        # factors.
+        r = 0.9984
+        with pytest.raises(DomainError, match=rf"r = {r} needs \d+ product factors and \d+ series terms") as err:
+            AnnulusModulus(r)
+        reach = float(str(err.value).rsplit(">= ", 1)[1])
+        m = AnnulusModulus(r, reach)
+        assert m.n_terms <= MAX_TERMS
+        tightest = truncation_error_bound(m, 1.0, r * r * (1.0 + 1e-12))
+        assert tightest <= reach < 1.02 * tightest
+        for r in (0.9985, 0.99855):
+            with pytest.raises(DomainError, match=rf"r = {r} overflows the normalisation .* for any trunc_tol"):
+                AnnulusModulus(r, 0.5)
         for r in (0.9987, 0.999, 0.9999):
             with pytest.raises(DomainError, match=rf"r = {r} needs more than {MAX_TERMS} product terms for any"):
                 AnnulusModulus(r, 0.5)
 
-    def test_plan_is_the_cheapest(self):
+    def test_plan_table(self):
         # Deterministic work counts at trunc_tol = 1e-12, (M, K) per r.  For
         # scale, the rule r^(2N) <= trunc_tol gives the plain product 6, 16,
         # 20, 39, 62 and 132 factors at r = 0.1, 0.4, 0.5, 0.7, 0.8 and 0.9.
-        plans = {0.1: (7, 0), 0.2: (3, 2), 0.4: (3, 4), 0.5: (4, 4), 0.7: (4, 8),
-                 0.8: (6, 9), 0.9: (8, 14), 0.97: (17, 24), 0.99: (36, 36)}
+        plans = {0.1: (2, 2), 0.2: (3, 2), 0.4: (4, 3), 0.5: (4, 4), 0.7: (6, 6),
+                 0.8: (8, 7), 0.9: (11, 11), 0.97: (21, 20), 0.99: (37, 35)}
         assert {r: AnnulusModulus(r).plan for r in plans} == plans
-        most = {0.1: 7, 0.4: 7, 0.5: 8, 0.7: 12, 0.8: 15, 0.9: 22, 0.97: 41, 0.99: 72}
-        assert all(AnnulusModulus(r).n_terms <= n for r, n in most.items())
-        # The closed-form plan costs no more than a search over every M with
-        # its least K, the plain product (K = 0) included.
-        for r in (0.02, 0.1, 0.2, 0.4, 0.7, 0.9, 0.97, 0.99):
-            for tol in (1e-3, 1e-8, 1e-12, 1e-15):
-                m = AnnulusModulus(r, tol)
-                cost = _plan_cost(*m.plan)
-                least = prime._min_head(r)
-                for head in range(least, least + 80):
-                    tail = 0
-                    while not prime._meets(r * r, head, tail, tol):
-                        tail += 1
-                    assert tail == prime._least_tail(r * r, 2.0 * math.log(r), head, tol)
-                    assert cost <= _plan_cost(head, tail) + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # The second range holds the r where tight tolerances pass the limit.
+        r=st.one_of(st.floats(0.01, 0.9984), st.floats(0.9982, 0.9984)),
+        e1=st.floats(-15.0, 0.0),
+        e2=st.floats(-15.0, 0.0),
+    )
+    @example(r=0.9984, e1=0.0, e2=-12.0)
+    @example(r=0.9983, e1=-13.0, e2=-15.0)
+    def test_plan_is_least_tail_for_one_head(self, r, e1, e2):
+        # M depends on r alone and K is the least count that meets tol; a
+        # tolerance over the limit names the plan it needs and a tolerance
+        # that the same M meets with at most MAX_TERMS terms.
+        q = r * r
+        heads, terms = set(), []
+        for tol in (10.0 ** max(e1, e2), 10.0 ** min(e1, e2)):
+            try:
+                head, tail = AnnulusModulus(r, tol).plan
+            except DomainError as err:
+                needs = re.search(r"needs (\d+) product factors and (\d+) series terms", str(err))
+                head, tail = int(needs[1]), int(needs[2])
+                reach = AnnulusModulus(r, float(str(err).rsplit(">= ", 1)[1]))
+                assert reach.plan[0] == head and reach.n_terms <= MAX_TERMS
+            assert prime._worst_bound(q, head, tail) <= tol
+            assert tail == 0 or prime._worst_bound(q, head, tail - 1) > tol
+            heads.add(head)
+            terms.append(head + tail)
+        assert len(heads) == 1
+        assert terms[0] <= terms[1]
 
 
 class TestIdentities:
@@ -190,9 +207,10 @@ class TestTruncation:
             assert observed.max() < 2.0 * bound
 
     def test_bound_decreases_in_terms(self, mp_omega):
-        # 3, 6, 6 and 8 terms at r = 0.5: the plain product, then tails
+        # 4, 5, 6 and 8 terms at r = 0.5: M = 4 head factors for every
+        # tolerance, the plain product first, then tails
         ms = [AnnulusModulus(0.5, tol) for tol in (1e-1, 1e-3, 1e-6, 1e-12)]
-        assert [m.plan for m in ms] == [(3, 0), (6, 0), (2, 4), (4, 4)]
+        assert [m.plan for m in ms] == [(4, 0), (4, 1), (4, 2), (4, 4)]
         bounds = [truncation_error_bound(m, 1.0, 0.7) for m in ms]
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
         for m in ms:

@@ -165,6 +165,21 @@ class TestTruncationLimit:
         mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 2)
         _assert_map_within_bound(m, x, mag * np.exp(1j * rng.uniform(-0.3, 0.3, 2)))
 
+    @pytest.mark.parametrize("r", [0.99845, 0.99849, 0.998495, 0.9985, 0.99852, 0.99855])
+    def test_named_tolerance_evaluates(self, r):
+        # Near the limit the default raises.  Either no tolerance is named,
+        # because the head normalisation overflows for every one, or the
+        # named tolerance gives f_x finite at points with |arg z| <= 0.3.
+        with pytest.raises(DomainError) as err:
+            AnnulusModulus(r)
+        if str(err.value).endswith("for any trunc_tol"):
+            return
+        m = AnnulusModulus(r, float(str(err.value).rsplit(">= ", 1)[1]))
+        x = 0.5 * (r + 1.0)
+        mag = np.linspace(r * (1.0 + 1e-6), x * (1.0 - 1e-6), 20)
+        z = mag[:, None] * np.exp(1j * np.linspace(-0.3, 0.3, 21))
+        assert np.all(np.isfinite(f_eval(SlitMapParams(m, x), z)))
+
 
 class TestDerivative:
     def test_matches_finite_differences(self, params):
@@ -222,6 +237,44 @@ class TestDerivative:
                 ref = complex(mp.diff(f, mp.mpc(zz)))
                 assert abs(dd - ref) < 1e-12 * (1.0 + abs(ref))
         _assert_map_within_bound(m, p.x, z[::512])
+
+    @pytest.mark.parametrize("trunc_tol", [1e-6, 1e-12])
+    @pytest.mark.parametrize("r", [0.5, 0.9])
+    def test_meets_infinite_product_within_derivative_bound(self, r, trunc_tol, mp_omega):
+        # f' = f (L(z, x) - L(z, 1/x)) for the log derivatives L of the two
+        # prime functions.  Each L is off by at most the bound D of
+        # `prime_omega_log_deriv`, and f by the two value bounds, so f' is
+        # within |f| (D_x + D_1/x) + |f'| (B_x + B_1/x) of the infinite
+        # product's derivative, plus rounding.
+        mp = pytest.importorskip("mpmath")
+        m = AnnulusModulus(r, trunc_tol)
+        x = 0.5 * (r + 1.0)
+        p = SlitMapParams(m, x)
+        head, tail = m.plan
+        q = r * r
+        q0, k1 = q ** (head + 1), tail + 1
+
+        def deriv_bound(zm, am):
+            rho1, rho2 = q0 * zm / am, q0 * am / zm
+            return (rho1 ** k1 / (1.0 - rho1) + rho2 ** k1 / (1.0 - rho2)) / ((1.0 - q ** k1) * zm)
+
+        rng = np.random.default_rng(44)
+        mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 6)
+        mag = np.append(mag, [r * r / x * (1.0 + 1e-9), (1.0 - 1e-9) / x])
+        z = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, mag.size))
+        with mp.workdps(30):
+            xm = mp.mpf(x)
+
+            def f(w):
+                return -(mp_omega(w, xm, r) / mp_omega(w, 1 / xm, r)) / xm
+
+            for zz, dd, ww in zip(z.tolist(), f_prime(p, z).tolist(), f_eval(p, z).tolist()):
+                ref = complex(mp.diff(f, mp.mpc(zz)))
+                zm = abs(zz)
+                bound = (abs(ww) * (deriv_bound(zm, x) + deriv_bound(zm, 1.0 / x))
+                         + abs(ref) * (truncation_error_bound(m, zm, x)
+                                       + truncation_error_bound(m, zm, 1.0 / x)))
+                assert abs(dd - ref) <= bound + 1e-14 * (1.0 + abs(ref)), (r, zz)
 
     def test_derivative_nonzero_on_annulus(self, params):
         z = np.exp(1j * np.linspace(0.1, 2.0, 50)) * 0.8

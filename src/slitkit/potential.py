@@ -22,6 +22,9 @@ MATRIX_TOL = 1e-10
 # Most target-node pairs log_potential holds in memory at once.
 POTENTIAL_CHUNK_PAIRS = 2**16
 COMPETITOR_SAMPLES = 4096
+# The competitor's sample points on the unit circle, built once.
+_UNIT_RING = np.exp(1j * (2.0 * np.pi * np.arange(COMPETITOR_SAMPLES) / COMPETITOR_SAMPLES))
+_UNIT_RING.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -91,18 +94,35 @@ def log_potential(mu: DiscreteMeasure, w):
     """Logarithmic potential sum_k w_k log(1/|w - z_k|) at w (scalar or array).
 
     Behaves like |mu| log(1/|w|) + O(1/|w|) far from the support, which is the
-    normalization the radii solver relies on.
+    normalization the radii solver relies on.  log|w - z_k| is taken as
+    0.5 log(dx^2 + dy^2) on real arrays, so a target whose squared distances
+    overflow (|w| above about 1e154) has no finite potential; such a target,
+    like an infinite or nan one, raises DomainError.
     """
     w_arr = np.asarray(w, dtype=complex)
     flat = w_arr.ravel()
     vals = np.empty(flat.size)
-    # Bounded targets x nodes blocks; each row is summed alone, as in one block.
+    node_x = mu.nodes.real.copy()
+    node_y = mu.nodes.imag.copy()
+    # Bounded targets x nodes blocks.  einsum sums each row alone, in the
+    # same order in any block, so a target gets the same bits in a batch as
+    # on its own; a matrix product would not.
     step = max(1, POTENTIAL_CHUNK_PAIRS // mu.nodes.size)
-    for i in range(0, flat.size, step):
-        d = np.abs(flat[i:i + step, None] - mu.nodes)
-        if np.any(d < NODE_CLEARANCE):
-            raise DomainError("potential evaluated on top of a node")
-        vals[i:i + step] = -(mu.weights * np.log(d)).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, flat.size, step):
+            d2 = flat.real[i:i + step, None] - node_x
+            dy = flat.imag[i:i + step, None] - node_y
+            d2 *= d2
+            dy *= dy
+            d2 += dy
+            if np.any(d2 < NODE_CLEARANCE * NODE_CLEARANCE):
+                raise DomainError("potential evaluated on top of a node")
+            vals[i:i + step] = np.einsum("ij,j->i", np.log(d2, out=d2), mu.weights)
+    vals *= -0.5
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(
+            "potential is not finite: targets must be finite, with |w| below about 1e154"
+        )
     if np.isscalar(w) or w_arr.shape == ():
         return float(vals[0])
     return vals.reshape(w_arr.shape)
@@ -256,7 +276,5 @@ def competitor_boundary_dist(
     base = r / z0 if inverted else z0
     c = float(np.real(f_eval(p, base)))
     t = MobiusReal(c)
-    theta = 2.0 * np.pi * np.arange(COMPETITOR_SAMPLES) / COMPETITOR_SAMPLES
-    ring = np.exp(1j * theta)
-    vals = mobius_apply(t, f_eval(p, np.concatenate([ring, r * ring])))
+    vals = mobius_apply(t, f_eval(p, np.concatenate([_UNIT_RING, r * _UNIT_RING])))
     return float(np.abs(vals).min())

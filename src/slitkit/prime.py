@@ -24,14 +24,19 @@ K = 0 is the plain product of M factors, run by the same code.
 Evaluations accept scalars or numpy arrays and broadcast elementwise.
 The public functions check their arguments (band, poles, overflow) once per
 call; the private kernels only do the arithmetic and expect inputs that a
-caller has already checked:
+caller has already checked.  Each serves one public function:
 
-- `_omega(z, a, m)` returns omega(z, a);
+- `_omega(z, a, m)` returns omega(z, a), for `prime_omega`;
 - `_omega_log_deriv(z, a, m)` returns (omega(z, a), d/dz log omega(z, a))
   from one pass over the head factors and the tail series, whose log
-  derivative is -(1/z) sum_k k c_k (zeta^k - zeta^-k).  Its value is bit for
-  bit the value of `_omega`, because both form the factors, the series and
-  their product in the same order.
+  derivative is -(1/z) sum_k k c_k (zeta^k - zeta^-k), for
+  `prime_omega_log_deriv`.  Its value is bit for bit the value of `_omega`,
+  because both form the factors, the series and their product in the same
+  order.
+
+The slit maps of `slitmap` divide two prime functions, in which the
+normalisation and the tail constant cancel; they run kernels of their own
+on the same plan and coefficients.
 
 The constants prod_{n<=M} (1 - q^n)^-2 and 2 sum_k c_k do not depend on z or
 a, so they are computed once per modulus (`AnnulusModulus.normalisation` and
@@ -50,8 +55,9 @@ about 0.99835 at trunc_tol = 1e-12) is rejected with DomainError, which
 names a tolerance that the same M meets with 256 terms.  Above about
 r = 0.99850 the head normalisation overflows and every tolerance is
 rejected.  Near the limit omega itself outgrows the float range away from
-the real axis (r = 0.998 at z/a = 0.999i); the callers' finiteness checks
-then raise NumericalOverflowError.
+the real axis (r = 0.998 at z/a = 0.999i), and `prime_omega` then raises
+NumericalOverflowError; the slit maps, in which the normalisation cancels,
+stay finite there.
 """
 
 from __future__ import annotations

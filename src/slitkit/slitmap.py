@@ -15,21 +15,30 @@ real Mobius map vanishing at f_x(x0), lives here as `_Phi`; `q_of`,
 certify pipeline in `counterexample` builds one per candidate x.
 
 Public functions check their arguments once per call; private helpers
-expect checked points.  f_x is evaluated by one of two helpers, each making
-two calls (a = x and a = 1/x) to the unchecked prime function kernels and
-checking the products for overflow and poles:
+expect checked points.  f_x is the ratio of two prime functions, but their
+normalisations and tail constants cancel, so it is evaluated as one product:
 
-- `_map(p, z)` returns f_x, from `_omega`, for callers that need values only;
-- `_map_log_deriv(p, z)` returns (f_x, f_x'/f_x), from `_omega_log_deriv`,
-  which forms each product and its log derivative in one pass over the
-  head factors and the tail series.  `f_prime` and every Newton step use it.
+    f_x = (1 - z/x)/(z - 1/x) * prod_{n<=M} (1 - (q^n/x) z)(1 - (q^n x)/z)
+                                          / ((1 - (q^n x) z)(1 - (q^n/x)/z))
+          * exp(sum_{k<=K} d_k (z^-k - z^k)),   d_k = c_k (x^-k - x^k),
 
-`slit_endpoint` reads only f_x'/f_x and calls `_omega_log_deriv` itself,
-after checking the products at its two bracket ends, which bound them at
-every point between.  Its sign change is found by `_bracket_root`, the one
-bracketed root finder (ITP steps: Illinois false position, truncated toward
-the midpoint and projected into a radius of it that keeps the count within
-ITP_N0 of bisection's), which `counterexample.delta_of` uses too.
+with M, K and c_k those of `prime`.  The merged series is exactly the
+difference of the two prime functions' truncated tails, so their truncation
+bounds hold unchanged.  Two unchecked kernels evaluate it from 1/z, the
+constants that `SlitMapParams.terms` caches per modulus and x, and one exp:
+
+- `_fx(p, z)` returns f_x, for callers that need values only;
+- `_fx_log_deriv(p, z)` returns (f_x, f_x'/f_x) from one pass over the head
+  factor pairs and the series.
+
+`_map` and `_map_log_deriv` run them with the pole check, and `f_prime` and
+every Newton step use `_map_log_deriv`.  `slit_endpoint` reads only
+f_x'/f_x from `_fx_log_deriv`, after checking f_x at its two bracket ends,
+which bound the kernel at every point between.  Its sign change is found by
+`_bracket_root`, the one bracketed root finder (ITP steps: Illinois false
+position, truncated toward the midpoint and projected into a radius of it
+that keeps the count within ITP_N0 of bisection's), which
+`counterexample.delta_of` uses too.
 
 Scalar Newton (`f_inverse`) checks its seed once; `_newton` runs the same
 iteration on arrays, in float64 for real targets and seeds and in complex128
@@ -52,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
-from .prime import FACTOR_ZERO, AnnulusModulus, _omega, _omega_log_deriv
+from .errors import ConvergenceError, DomainError, PoleError
+from .prime import FACTOR_ZERO, AnnulusModulus, _exp
 
 NEWTON_MAX_ITER = 64
 NEWTON_TOL = 1e-12
@@ -98,6 +107,32 @@ class SlitMapParams:
     def outer_extension(self) -> float:
         """Outer radius 1/x of the annulus of holomorphy."""
         return 1.0 / self.x
+
+    @functools.cached_property
+    def terms(self) -> tuple[float, float, float, tuple[tuple[float, float], ...],
+                             tuple[float, ...], tuple[float, ...]]:
+        """(1/x, s, s/x, head, d, kd): the constants of the slit-map kernels.
+
+        head holds (q^n/x, q^n x) for the M head factors, d the merged tail
+        coefficients d_k = c_k (x^-k - x^k) and kd their multiples k d_k.
+        d_k is formed as -c_k x^-k expm1(2k log x), which keeps its digits as
+        x nears 1.  s = sqrt(N), N the head normalisation of the modulus,
+        starts both products of the kernels and cancels in their ratio.
+        """
+        m = self.modulus
+        x = self.x
+        q = m.r * m.r
+        rp = 1.0
+        head = []
+        for _ in range(m.plan[0]):
+            rp *= q
+            head.append((rp / x, rp * x))
+        log_x = math.log(x)
+        d = tuple(-c * x ** -k * math.expm1(2.0 * k * log_x)
+                  for k, c in enumerate(m.tail[0], 1))
+        kd = tuple(k * dk for k, dk in enumerate(d, 1))
+        s = math.sqrt(m.normalisation)
+        return 1.0 / x, s, s / x, tuple(head), d, kd
 
 
 @dataclass(frozen=True)
@@ -155,42 +190,107 @@ def f_eval(p: SlitMapParams, z):
     return _map(p, z)
 
 
+def _fx(p: SlitMapParams, z):
+    """f_x at checked points: the product of the module docstring, formed as
+    num/den times the exp of the merged tail series."""
+    inv_x, s, s_x, head, d, _ = p.terms
+    w = 1.0 / z
+    num = (p.x - z) * s_x
+    den = (z - inv_x) * s
+    for a, b in head:
+        num = num * ((1.0 - a * z) * (1.0 - b * w))
+        den = den * ((1.0 - b * z) * (1.0 - a * w))
+    val = num / den
+    if d:
+        # Horner in z and in 1/z: pz z = sum_k d_k z^k.
+        pz = pw = d[-1]
+        for c in d[-2::-1]:
+            pz = pz * z + c
+            pw = pw * w + c
+        val = val * _exp(pw * w - pz * z)
+    return val
+
+
+def _fx_log_deriv(p: SlitMapParams, z):
+    """`_fx` and f_x'/f_x from one pass over the factor pairs and the tail.
+
+    z must be checked and off z = x.  With u = (q^n/x) z, v = (q^n x)/z in
+    the numerator pair, fn = (1 - u)(1 - v), and u' = (q^n x) z,
+    v' = (q^n/x)/z, fd = (1 - u')(1 - v') in the denominator's, the pair
+    contributes ((v - u)/fn - (v' - u')/fd)/z, formed with one division by
+    fn fd from the factors the value already forms.  The tail contributes
+    -(1/z) sum_k k d_k (z^k + z^-k) and the prefactor
+    (x - 1/x)/((z - x)(z - 1/x)).  Its value is bit for bit that of `_fx`,
+    which forms the same factors in the same order.
+    """
+    inv_x, s, s_x, head, d, kd = p.terms
+    w = 1.0 / z
+    num = (p.x - z) * s_x
+    den = (z - inv_x) * s
+    t = 0.0
+    for a, b in head:
+        u, v, u2, v2 = a * z, b * w, b * z, a * w
+        fn = (1.0 - u) * (1.0 - v)
+        fd = (1.0 - u2) * (1.0 - v2)
+        num = num * fn
+        den = den * fd
+        t = t + ((v - u) * fd - (v2 - u2) * fn) / (fn * fd)
+    val = num / den
+    if d:
+        pz = pw = d[-1]
+        qz = qw = kd[-1]
+        for c, kc in zip(d[-2::-1], kd[-2::-1]):
+            pz = pz * z + c
+            pw = pw * w + c
+            qz = qz * z + kc
+            qw = qw * w + kc
+        val = val * _exp(pw * w - pz * z)
+        t = t - (qz * z + qw * w)
+    return val, (p.x - inv_x) / ((z - p.x) * (z - inv_x)) + t * w
+
+
 def _map(p: SlitMapParams, z):
-    """f_x at points inside the extended annulus, with overflow and pole checks."""
-    # r < x < 1 puts r^2/x < |z| < 1/x and both x and 1/x inside the prime
-    # function's band, so the kernels need no band checks of their own.
-    # An array whose products overflow would warn before the check below
-    # raises; silence numpy so every caller gets NumericalOverflowError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = _omega(z, p.x, p.modulus)
-        den = _omega(z, 1.0 / p.x, p.modulus)
-    return _ratio(p, num, den)
+    """f_x at points inside the extended annulus, with a pole check.
+
+    The kernel needs no checks of its own beyond `_check_extended_annulus`.
+    A pole divides by zero: a Python scalar raises ZeroDivisionError, an
+    array gives inf or nan with numpy silenced; both become PoleError.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            val = _fx(p, z)
+    except ZeroDivisionError:
+        raise PoleError("slit map evaluated at a pole") from None
+    _check_finite(val)
+    return val
 
 
 def _map_log_deriv(p: SlitMapParams, z):
     """(f_x, f_x'/f_x) at points inside the extended annulus other than z = x.
 
-    The checks are those of `_map`.  An array point on a pole divides by zero
-    inside the kernel; numpy stays silent and the pole check raises.  A Python
-    scalar raises ZeroDivisionError there instead, which becomes the same
-    PoleError.
+    The checks are those of `_map`.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            num, dnum = _omega_log_deriv(z, p.x, p.modulus)
-            den, dden = _omega_log_deriv(z, 1.0 / p.x, p.modulus)
+            val, dlog = _fx_log_deriv(p, z)
     except ZeroDivisionError:
         raise PoleError("slit map evaluated at a pole") from None
-    return _ratio(p, num, den), dnum - dden
+    _check_finite(val)
+    return val, dlog
 
 
-def _ratio(p: SlitMapParams, num, den):
-    """f_x = -(num/den)/x, once both products are finite and den is not 0."""
-    if not np.all(np.isfinite(np.abs((num, den)))):
-        raise NumericalOverflowError("prime function product overflowed")
-    if np.any(np.abs(den) < 1e-300):
+def _check_finite(val) -> None:
+    """Raise PoleError unless every value of f_x is finite.
+
+    Started from s = sqrt(N), the kernels' products and all their partial
+    products stay between about exp(-0.54 L - 28) and exp(0.86 L) in the
+    extended annulus, L = log N <= 709.8 for every accepted modulus (the
+    28 from points 1e-12 inside its edges); without s they would fall to
+    about exp(-L) on the positive real axis, into the subnormal range.  The
+    merged tail stays small, so a value that is not finite comes from a pole.
+    """
+    if not np.all(np.isfinite(val)):
         raise PoleError("slit map evaluated at a pole")
-    return -(num / den) / p.x
 
 
 def f_prime(p: SlitMapParams, z):
@@ -220,16 +320,19 @@ def f_prime_at_center(p: SlitMapParams) -> float:
     """Closed form f_x'(x) = -1/(x omega(x, 1/x)).
 
     The product in omega(z, x) = (z - x) P(z) is normalised so that P(x) = 1,
-    which makes d/dz omega(z, x) = 1 at z = x.  Written out, the value is
-    1/(1 - x^2) times the product of (1 - q^n)^2 / ((1 - q^n x^2)(1 - q^n/x^2))
-    over the head factors, each of which exceeds 1, times
-    exp(sum_k c_k (x^(2k) + x^(-2k) - 2)) for the tail series, which exceeds 1
-    too, so the result always exceeds 1/(1 - x^2).
+    which makes d/dz omega(z, x) = 1 at z = x.  Written out with the
+    constants of `_fx`, the value is 1/(1 - x^2) times the product of
+    (1 - q^n)^2 / ((1 - q^n x^2)(1 - q^n/x^2)) over the head factors, each of
+    which exceeds 1, times exp(sum_k d_k (x^-k - x^k)) = exp(sum_k c_k
+    (x^-k - x^k)^2) for the tail series, which exceeds 1 too, so the result
+    always exceeds 1/(1 - x^2).
     """
-    den = _omega(p.x, 1.0 / p.x, p.modulus)
-    if not math.isfinite(den):
-        raise NumericalOverflowError("prime function product overflowed")
-    return -1.0 / (p.x * den)
+    inv_x, _, _, head, d, _ = p.terms
+    x = p.x
+    out = 1.0 / (1.0 - x * x)
+    for a, b in head:
+        out *= (1.0 - a * x) * (1.0 - b * inv_x) / ((1.0 - b * x) * (1.0 - a * inv_x))
+    return out * math.exp(sum(dk * (inv_x ** k - x ** k) for k, dk in enumerate(d, 1)))
 
 
 def _converged(res, w, z, deriv):
@@ -451,22 +554,23 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
     preimage angle from the sign change of h; the endpoint is the image of
     that point.
     """
-    r, m = p.r, p.modulus
+    r = p.r
     lo = ENDPOINT_THETA_PAD
     hi = math.pi - ENDPOINT_THETA_PAD
-    # f_eval checks the products at both bracket ends only.  For z = r e^{i theta}
-    # and real a > 0 every factor |1 - t e^{+-i theta}| of omega(z, x) and
-    # omega(z, 1/x) grows with theta on [0, pi], so both products, whose tail
-    # series stand within trunc_tol for such factors, are smallest at lo and
-    # largest at hi: the pole test at lo and the overflow test at hi cover
-    # every point the root finder visits.  |z| = r < x keeps z off the zero x.
+    # f_eval checks the kernel at both bracket ends only.  h divides by
+    # z - x, z - 1/x and every head factor pair, and forms the products num
+    # and den of `_fx`.  For z = r e^{i theta} each of these is a product of
+    # factors |1 - t e^{+-i theta}| or |e^{i theta} - t| with t > 0, which
+    # grow with theta on [0, pi], so all are smallest at lo and largest at
+    # hi.  |f_x| = x on |z| = r ties |num| to |den|, so a finite f_x at lo
+    # has both nonzero there and a finite f_x at hi has both finite: the two
+    # ends cover every point the root finder visits.
     for theta in (lo, hi):
         f_eval(p, r * cmath.exp(1j * theta))
 
     def h(theta: float) -> float:
         z = r * cmath.exp(1j * theta)
-        dlog = _omega_log_deriv(z, p.x, m)[1] - _omega_log_deriv(z, 1.0 / p.x, m)[1]
-        return (z * dlog).real
+        return (z * _fx_log_deriv(p, z)[1]).real
 
     h_lo = h(lo)
     h_hi = h(hi)

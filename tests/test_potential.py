@@ -81,6 +81,25 @@ class TestLogPotential:
         with pytest.raises(DomainError):
             log_potential(mu, w)
 
+    @pytest.mark.parametrize("w", [complex(math.inf, 0.0), complex(0.3, -math.inf),
+                                   complex(math.nan, 0.0), 1e200 + 0j, 1e200j])
+    def test_rejects_targets_without_finite_potential(self, w):
+        # inf and nan targets once gave -inf and nan.  At |w| = 1e200 the
+        # squared distances overflow, so the potential is not finite either.
+        mu = uniform_circle_measure(0.7)
+        with pytest.raises(DomainError, match="not finite"):
+            log_potential(mu, w)
+        targets = np.full(3 * POTENTIAL_CHUNK_PAIRS // mu.nodes.size, 0.2 + 0.1j)
+        targets[-1] = w
+        with pytest.raises(DomainError, match="not finite"):
+            log_potential(mu, targets)
+
+    def test_large_finite_target(self):
+        # Below about 1e154 the squares stay finite: the potential of a unit
+        # mass is log(1/|w|) to rounding.
+        mu = uniform_circle_measure(0.7)
+        assert abs(log_potential(mu, 1e150j) / -math.log(1e150) - 1.0) < 1e-13
+
 
 class TestHarmonicMeasure:
     def test_boundary_values(self):

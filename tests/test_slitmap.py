@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from slitkit import slitmap
 from slitkit.counterexample import CounterexampleConfig, make_shrinking_arcs
 from slitkit.errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
-from slitkit.prime import MAX_TERMS, AnnulusModulus, _omega_log_deriv, truncation_error_bound
+from slitkit.prime import (
+    MAX_TERMS,
+    AnnulusModulus,
+    _omega_log_deriv,
+    prime_omega,
+    prime_omega_log_deriv,
+    truncation_error_bound,
+)
 from slitkit.slitmap import (
     MobiusReal,
     SlitMapParams,
@@ -94,20 +101,17 @@ class TestPolesAndOverflow:
                 f_prime(params, np.array([0.6, z]))
 
     def test_overflowing_products_raise(self):
-        # 179 head factors and 38 tail terms at r = 0.998; the prime
-        # functions reach about exp(900) at z = 0.9995i
-        p = SlitMapParams(AnnulusModulus(0.998), 0.9995)
-        with pytest.raises(NumericalOverflowError):
-            f_eval(p, 0.9995j)
-        with pytest.raises(NumericalOverflowError):
-            f_prime(p, 0.9995j)
-        with pytest.raises(NumericalOverflowError):
-            slit_endpoint(p)
-        # arrays raise the same error instead of a numpy overflow warning
-        with pytest.raises(NumericalOverflowError):
-            f_eval(p, np.array([0.9995j]))
-        with pytest.raises(NumericalOverflowError):
-            f_prime(p, np.array([0.9995j]))
+        # 179 head factors and 38 tail terms at r = 0.998: both prime
+        # functions of f_x reach about exp(900) at z = 0.9995i, x = 0.9995.
+        # f_x itself is formed without their normalisations and stays finite
+        # there (TestTruncationLimit::test_off_axis_near_limit_meets_its_bound).
+        m = AnnulusModulus(0.998)
+        for a in (0.9995, 1.0 / 0.9995):
+            with pytest.raises(NumericalOverflowError):
+                prime_omega(0.9995j, a, m)
+            # arrays raise the same error instead of a numpy overflow warning
+            with pytest.raises(NumericalOverflowError):
+                prime_omega(np.array([0.9995, 0.9995j]), a, m)
 
 
 def _assert_map_within_bound(m, x, z):
@@ -137,6 +141,15 @@ def _assert_map_within_bound(m, x, z):
             assert err <= bound + 1e-14, (m.r, zz)
 
 
+def _log_deriv_bound(m, zm, am):
+    """The |R'| bound of `prime_omega_log_deriv` for |z| = zm, |a| = am."""
+    head, tail = m.plan
+    q = m.r * m.r
+    q0, k1 = q ** (head + 1), tail + 1
+    rho1, rho2 = q0 * zm / am, q0 * am / zm
+    return (rho1 ** k1 / (1.0 - rho1) + rho2 ** k1 / (1.0 - rho2)) / ((1.0 - q ** k1) * zm)
+
+
 class TestTruncationLimit:
     @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.97, 0.99])
     def test_default_tolerance_meets_its_bound(self, r):
@@ -164,6 +177,23 @@ class TestTruncationLimit:
         rng = np.random.default_rng(43)
         mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 2)
         _assert_map_within_bound(m, x, mag * np.exp(1j * rng.uniform(-0.3, 0.3, 2)))
+
+    def test_off_axis_near_limit_meets_its_bound(self):
+        # At r = 0.998 both prime functions overflow away from the real axis
+        # (TestPolesAndOverflow::test_overflowing_products_raise); f_x, its
+        # derivative and the slit endpoint do not.
+        m = AnnulusModulus(0.998)
+        x = 0.9995
+        p = SlitMapParams(m, x)
+        z = np.array([0.9995j, -0.9995, m.r * m.r / x * (1.0 + 1e-9) * np.exp(2.5j)])
+        _assert_map_within_bound(m, x, z)
+        _assert_map_within_bound(m, x, 0.9995j)
+        h = 1e-7
+        for zz in [*z[:2].tolist(), 0.999 * cmath.exp(2.0j)]:
+            cd = (f_eval(p, zz + h) - f_eval(p, zz - h)) / (2.0 * h)
+            assert abs(f_prime(p, zz) - cd) < 1e-6 * (1.0 + abs(cd))
+        assert np.all(np.isfinite(f_prime(p, z)))
+        assert abs(slit_endpoint(p).radius - x) < 1e-12
 
     @pytest.mark.parametrize("r", [0.99845, 0.99849, 0.998495, 0.9985, 0.99852, 0.99855])
     def test_named_tolerance_evaluates(self, r):
@@ -250,14 +280,6 @@ class TestDerivative:
         m = AnnulusModulus(r, trunc_tol)
         x = 0.5 * (r + 1.0)
         p = SlitMapParams(m, x)
-        head, tail = m.plan
-        q = r * r
-        q0, k1 = q ** (head + 1), tail + 1
-
-        def deriv_bound(zm, am):
-            rho1, rho2 = q0 * zm / am, q0 * am / zm
-            return (rho1 ** k1 / (1.0 - rho1) + rho2 ** k1 / (1.0 - rho2)) / ((1.0 - q ** k1) * zm)
-
         rng = np.random.default_rng(44)
         mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 6)
         mag = np.append(mag, [r * r / x * (1.0 + 1e-9), (1.0 - 1e-9) / x])
@@ -271,7 +293,7 @@ class TestDerivative:
             for zz, dd, ww in zip(z.tolist(), f_prime(p, z).tolist(), f_eval(p, z).tolist()):
                 ref = complex(mp.diff(f, mp.mpc(zz)))
                 zm = abs(zz)
-                bound = (abs(ww) * (deriv_bound(zm, x) + deriv_bound(zm, 1.0 / x))
+                bound = (abs(ww) * (_log_deriv_bound(m, zm, x) + _log_deriv_bound(m, zm, 1.0 / x))
                          + abs(ref) * (truncation_error_bound(m, zm, x)
                                        + truncation_error_bound(m, zm, 1.0 / x)))
                 assert abs(dd - ref) <= bound + 1e-14 * (1.0 + abs(ref)), (r, zz)
@@ -294,51 +316,77 @@ class TestFusedKernel:
         assert np.array_equal(dlog, [dl for _, dl in pointwise])
 
 
+class TestKernelAgreement:
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.97, 0.99])
+    def test_matches_prime_function_ratio(self, r):
+        # The kernel's f_x and f_x'/f_x against -(1/x) omega(z, x)/omega(z, 1/x)
+        # and the difference of the two log derivatives, which truncate each
+        # prime function alike, at interior points and at the edges of the
+        # extended annulus.
+        m = AnnulusModulus(r, _full_tol(r))
+        x = 0.5 * (r + 1.0)
+        p = SlitMapParams(m, x)
+        rng = np.random.default_rng(45)
+        mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 30)
+        mag = np.append(mag, [r * r / x * (1.0 + 1e-9), (1.0 - 1e-9) / x] * 3)
+        z = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, mag.size))
+        val, dlog = slitmap._map_log_deriv(p, z)
+        assert np.array_equal(val, f_eval(p, z))
+        ref = -(prime_omega(z, x, m) / prime_omega(z, 1.0 / x, m)) / x
+        ref_dlog = prime_omega_log_deriv(z, x, m) - prime_omega_log_deriv(z, 1.0 / x, m)
+        for i, zm in enumerate(mag.tolist()):
+            bound = truncation_error_bound(m, zm, x) + truncation_error_bound(m, zm, 1.0 / x)
+            assert abs(val[i] - ref[i]) <= (1e-14 + bound) * abs(ref[i]), (r, z[i])
+            dbound = _log_deriv_bound(m, zm, x) + _log_deriv_bound(m, zm, 1.0 / x)
+            assert abs(dlog[i] - ref_dlog[i]) <= 1e-14 * abs(ref_dlog[i]) + dbound, (r, z[i])
+
+
 class TestWorkCounts:
-    """Newton's product-loop passes, counted on slitmap's kernel bindings."""
+    """Passes of slitmap's slit-map kernels."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        counts = {"_omega": 0, "_omega_log_deriv": 0}
+        counts = {"_fx": 0, "_fx_log_deriv": 0}
         for name in counts:
             kernel = getattr(slitmap, name)
 
-            def counting(z, a, m, name=name, kernel=kernel):
+            def counting(p, z, name=name, kernel=kernel):
                 counts[name] += 1
-                return kernel(z, a, m)
+                return kernel(p, z)
 
             monkeypatch.setattr(slitmap, name, counting)
         return counts
 
-    def test_scalar_newton_step_is_two_passes(self, params, passes, monkeypatch):
+    def test_scalar_newton_step_is_one_pass(self, params, passes, monkeypatch):
         w = f_eval(params, 0.6 + 0.2j)
-        passes["_omega"] = 0
+        passes["_fx"] = 0
         monkeypatch.setattr(slitmap, "NEWTON_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
             f_inverse(params, w, 0.62 + 0.19j)
-        assert passes == {"_omega": 0, "_omega_log_deriv": 2}
+        assert passes == {"_fx": 0, "_fx_log_deriv": 1}
 
     @pytest.mark.parametrize("steps", [1, 3])
-    def test_array_newton_step_is_two_fused_passes(self, params, passes, monkeypatch, steps):
+    def test_array_newton_step_is_one_fused_pass(self, params, passes, monkeypatch, steps):
         z = 0.6 * np.exp(1j * np.linspace(0.5, 2.5, 20))
         w = f_eval(params, z)
-        passes["_omega"] = 0
+        passes["_fx"] = 0
         monkeypatch.setattr(slitmap, "NEWTON_MAX_ITER", steps)
         with pytest.raises(ConvergenceError):
             slitmap._newton(params, w, z * 1.05)
-        assert passes == {"_omega": 0, "_omega_log_deriv": 2 * steps}
+        assert passes == {"_fx": 0, "_fx_log_deriv": steps}
 
     def test_slit_endpoint_root_finder_work(self, passes):
         # 600 seeded (r, x) pairs; the bisection it replaced took 45 steps
         # plus the two bracket ends, 47 h evaluations, on every one of them.
+        # Each h evaluation is one kernel pass.
         rng = np.random.default_rng(8)
         rs = rng.uniform(0.02, 0.97, 600)
         xs = rs + (1.0 - rs) * rng.uniform(0.05, 0.95, 600)
         evals = []
         for r, x in zip(rs.tolist(), xs.tolist()):
-            passes["_omega_log_deriv"] = 0
+            passes["_fx_log_deriv"] = 0
             got = slit_endpoint(SlitMapParams(AnnulusModulus(r, _full_tol(r)), x)).preimage_theta
-            evals.append(passes["_omega_log_deriv"] // 2)
+            evals.append(passes["_fx_log_deriv"])
             assert abs(got - _bisected_endpoint_theta(r, x)) <= 2e-13
         assert np.median(evals) <= 17
         assert max(evals) <= 47

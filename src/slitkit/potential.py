@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,9 +23,15 @@ MATRIX_TOL = 1e-10
 # Most target-node pairs log_potential holds in memory at once.
 POTENTIAL_CHUNK_PAIRS = 2**16
 COMPETITOR_SAMPLES = 4096
-# The competitor's sample points on the unit circle, built once.
-_UNIT_RING = np.exp(1j * (2.0 * np.pi * np.arange(COMPETITOR_SAMPLES) / COMPETITOR_SAMPLES))
-_UNIT_RING.setflags(write=False)
+
+
+@lru_cache(maxsize=4)
+def _unit_ring(n: int) -> np.ndarray:
+    """The n equally spaced points exp(2 pi i k/n) of the unit circle, built
+    once per n and read-only, since every caller shares them."""
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    ring.setflags(write=False)
+    return ring
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,7 @@ def uniform_circle_measure(
 ) -> DiscreteMeasure:
     """Equal weights on equally spaced nodes of a circle."""
     _check_uniform(radius, mass, n_nodes)
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    nodes = radius * np.exp(1j * theta)
+    nodes = radius * _unit_ring(n_nodes)
     weights = np.full(n_nodes, mass / n_nodes)
     return DiscreteMeasure(nodes, weights)
 
@@ -276,5 +282,6 @@ def competitor_boundary_dist(
     base = r / z0 if inverted else z0
     c = float(np.real(f_eval(p, base)))
     t = MobiusReal(c)
-    vals = mobius_apply(t, f_eval(p, np.concatenate([_UNIT_RING, r * _UNIT_RING])))
+    ring = _unit_ring(COMPETITOR_SAMPLES)
+    vals = mobius_apply(t, f_eval(p, np.concatenate([ring, r * ring])))
     return float(np.abs(vals).min())

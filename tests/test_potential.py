@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slitkit import potential
 from slitkit.errors import DomainError, SingularMatrixError
 from slitkit.potential import (
     POTENTIAL_CHUNK_PAIRS,
@@ -28,6 +29,18 @@ class TestMeasures:
         mu = uniform_circle_measure(0.5, mass=2.0, n_nodes=256)
         assert abs(mu.total_mass - 2.0) < 1e-14
         assert np.abs(np.abs(mu.nodes) - 0.5).max() < 1e-14
+
+    @pytest.mark.parametrize("n_nodes", [1, 7, 1024, 4096])
+    def test_circle_measure_scales_one_cached_ring(self, n_nodes):
+        radius = 0.7
+        theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+        expected = radius * np.exp(1j * theta)
+        for _ in range(2):  # the first call builds the ring, the second reuses it
+            mu = uniform_circle_measure(radius, 1.0, n_nodes)
+            assert mu.nodes.tobytes() == expected.tobytes()
+        ring = potential._unit_ring(n_nodes)
+        assert not ring.flags.writeable
+        assert not np.shares_memory(mu.nodes, ring)
 
     def test_arc_measure_angles(self):
         mu = uniform_arc_measure(1.5, 0.2, 0.9, n_nodes=64)

@@ -18,9 +18,10 @@ the shrinking arcs, and the induced harmonic measure bound at the origin.
 No stage marches along the real segment.  Every phi_x value comes from one
 `_Phi.solve` call, one array Newton, per grid (the scan of `delta_of`, the
 interior margin, the witness value phi_x(zeta_star)) or per evidence table
-(every arc of every n).  The only scalar solves are the
-steps of `slitmap._bracket_root` refining the crossing in `delta_of`, one
-Newton solve per step; the slit endpoint uses the same root finder.
+(every arc of every n).  No stage runs a scalar Newton solve: `delta_of`
+refines its crossing in the preimage under f_{x0}, where each step of
+`slitmap._bracket_root` is two forward maps, and the slit endpoint uses the
+same root finder.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, GeometryError
 from .potential import harmonic_measure_upper_bound, shrink_mass_bound
 from .prime import DEFAULT_TRUNC_TOL, AnnulusModulus, truncation_error_bound
-from .slitmap import SlitMapParams, _bracket_root, _Phi, f_inverse, slit_endpoint
+from .slitmap import SlitMapParams, _bracket_root, _Phi, f_eval, slit_endpoint
 
 MARGIN_KEYS = (
     "lemma61_i",
@@ -107,9 +108,11 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     The sign change of psi(xi) = phi_x(xi) - xi is located by an ascending
     scan with step xi_scan_step, whose last gap ends at 0, and refined by
     `slitmap._bracket_root`; when no crossing occurs before 0 the whole
-    interval wins and x0 is returned.  Each refinement step is one scalar
-    Newton solve, seeded by linear interpolation between the preimages at
-    the ends of the crossing's gap (x0 is the preimage of 0).
+    interval wins and x0 is returned.  f_{x0} is real and increasing on
+    [r, x0], so psi(f_{x0}(z)) = g(z) = T_x(f_x(z)) - f_{x0}(z) changes sign
+    where psi does: the scan's preimages bracket the crossing in z, and each
+    refinement step evaluates g by forward maps only.  The scan's signs are
+    those of g too, and g(x0) = 0 exactly (x0 is the preimage of 0).
     """
     x0 = cfg.x0
     phi = _Phi(x, x0, cfg.modulus())
@@ -123,7 +126,7 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     xis = -x0 + h * np.arange(n_steps + 1)
     xis = xis[xis < 0.0]
     vals, pres = phi.solve(xis)
-    psi = vals - xis
+    psi = vals - f_eval(phi.p0, pres)
     for i in range(1, xis.size):
         if psi[i - 1] < 0.0 <= psi[i]:
             hi, z_hi, psi_hi = float(xis[i]), float(pres[i]), float(psi[i])
@@ -136,13 +139,14 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
             return x0
         i, hi, z_hi, psi_hi = xis.size, 0.0, x0, 0.0
     lo, z_lo = float(xis[i - 1]), float(pres[i - 1])
-    slope = (z_hi - z_lo) / (hi - lo)
+    # BISECT_WIDTH in xi, carried to z by the gap's secant slope.
+    width = BISECT_WIDTH * (z_hi - z_lo) / (hi - lo)
 
-    def psi_at(xi: float) -> float:
-        z = f_inverse(phi.p0, xi, z_lo + slope * (xi - lo)).real
-        return float(phi(z) - xi)
+    def g(z: float) -> float:
+        return float(phi(z) - f_eval(phi.p0, z))
 
-    return _bracket_root(psi_at, lo, hi, float(psi[i - 1]), psi_hi, BISECT_WIDTH) + x0
+    z = _bracket_root(g, z_lo, z_hi, float(psi[i - 1]), psi_hi, width)
+    return float(f_eval(phi.p0, z)) + x0
 
 
 @dataclass(frozen=True)

@@ -50,14 +50,13 @@ with which M meets trunc_tol; at 1e-12, 2 + 2 terms at r = 0.1, 11 + 11 at
 r = 0.9 and 37 + 35 at r = 0.99.  M keeps q0 |z/a| <= 1/2 in the band, so
 no tail factor vanishes there and `_hits_factor_zero` tests the head only.
 
-A modulus whose plan needs more than MAX_TERMS = 256 terms M + K (r above
-about 0.99835 at trunc_tol = 1e-12) is rejected with DomainError, which
-names a tolerance that the same M meets with 256 terms.  Above about
-r = 0.99850 the head normalisation overflows and every tolerance is
-rejected.  Near the limit omega itself outgrows the float range away from
-the real axis (r = 0.998 at z/a = 0.999i), and `prime_omega` then raises
-NumericalOverflowError; the slit maps, in which the normalisation cancels,
-stay finite there.
+Every trunc_tol is met by some K, so the one limit is r: from about
+r = 0.998497 the head normalisation overflows, and the modulus is rejected
+with DomainError whatever the tolerance.  Below it, 1e-12 takes 224 + 39
+terms at r = 0.9984 and 237 + 39 at r = 0.99849.  Near the limit omega
+itself outgrows the float range away from the real axis (r = 0.998 at
+z/a = 0.999i), and `prime_omega` then raises NumericalOverflowError; the
+slit maps, in which the normalisation cancels, stay finite there.
 """
 
 from __future__ import annotations
@@ -78,9 +77,6 @@ FACTOR_ZERO = 1e-300
 # slit maps need, and rejected outside this band.
 BAND_INNER = 0.99
 BAND_OUTER = 1.01
-
-# Most terms M + K a modulus may ask for; see the module docstring.
-MAX_TERMS = 256
 
 # Default bound on the relative truncation error of omega; it also sets the
 # head count M of every modulus (`_head`).
@@ -169,9 +165,9 @@ class AnnulusModulus:
         r^2 <= |z/a| <= 1/r^2.
 
     `plan` is (M, K), the head factors and tail terms the kernels run: M by
-    r alone (`_head`), K the least count with which M meets trunc_tol, and
-    M + K at most MAX_TERMS.  r above about 0.99850 is rejected for every
-    trunc_tol, because the head factors' normalisation overflows there.
+    r alone (`_head`), K the least count with which M meets trunc_tol.  r
+    from about 0.998497 is rejected for every trunc_tol, because the head
+    factors' normalisation overflows there.
     """
 
     r: float
@@ -186,27 +182,12 @@ class AnnulusModulus:
         if not (math.isfinite(self.trunc_tol) and self.trunc_tol > 0.0):
             raise DomainError("trunc_tol must be a positive finite number")
         head = _head(self.r)
-        if head > MAX_TERMS:
-            raise DomainError(
-                f"r = {self.r} needs more than {MAX_TERMS} product terms for "
-                f"any trunc_tol"
-            )
         tail = _least_tail(self.r, head, self.trunc_tol)
         object.__setattr__(self, "plan", (head, tail))
         if math.isinf(self.normalisation):
             raise DomainError(
                 f"r = {self.r} overflows the normalisation prod (1 - q^n)^-2 "
                 f"of its {head} head factors, for any trunc_tol"
-            )
-        if head + tail > MAX_TERMS:
-            # 1 % above the bound stays above it after rounding to three
-            # digits, so the printed tolerance is one the same M meets with
-            # MAX_TERMS terms.
-            reach = 1.01 * _worst_bound(self.r * self.r, head, MAX_TERMS - head)
-            raise DomainError(
-                f"r = {self.r} needs {head} product factors and {tail} series "
-                f"terms for trunc_tol = {self.trunc_tol:g}, more than "
-                f"{MAX_TERMS} terms; {MAX_TERMS} terms meet trunc_tol >= {reach:.3g}"
             )
 
     @property
@@ -216,7 +197,11 @@ class AnnulusModulus:
 
     @cached_property
     def normalisation(self) -> float:
-        """prod_{n=1}^{M} (1 - q^n)^-2 over the head factors, q = r^2."""
+        """prod_{n=1}^{M} (1 - q^n)^-2 over the head factors, q = r^2.
+
+        inf once a partial product overflows: M grows without bound as r
+        nears 1, and the loop stops there.
+        """
         q = self.r * self.r
         rp = 1.0
         out = 1.0
@@ -224,6 +209,8 @@ class AnnulusModulus:
             rp *= q
             one = 1.0 - rp
             out /= one * one
+            if out == math.inf:
+                break
         return out
 
     @cached_property

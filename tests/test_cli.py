@@ -125,30 +125,26 @@ class TestErrorPaths:
         ("0.9984", "0.9992", "0.9988,0.01"),
         ("0.99845", "0.9993", "0.9989,0.01"),
     ])
-    def test_unreachable_tolerance_exits_one(self, capsys, r, x, z):
-        # The default 1e-12 needs more than MAX_TERMS head factors and tail
-        # terms here; the message names a tolerance that MAX_TERMS terms meet.
-        argv = ["map", "--r", r, "--x", x, "--z", z]
-        code, out, err = run_cli(capsys, argv)
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"slitkit: r = {r} needs ")
-        reach = err.rsplit(">= ", 1)[1].strip()
-        code, out, _ = run_cli(capsys, argv + ["--trunc-tol", reach])
+    def test_map_near_the_overflow_limit(self, capsys, r, x, z):
+        # The default 1e-12 takes 218 to 231 head factors and 39 tail terms
+        # here; every tolerance is met below r = 0.998497.
+        code, out, _ = run_cli(capsys, ["map", "--r", r, "--x", x, "--z", z])
         assert code == 0
-        p = SlitMapParams(AnnulusModulus(float(r), float(reach)), float(x))
-        w = complex(f_eval(p, cli._complex_arg(z)))
+        w = complex(f_eval(SlitMapParams(AnnulusModulus(float(r)), float(x)), cli._complex_arg(z)))
         assert out == f"{w.real!r},{w.imag!r}\n"
+        if r == "0.9984":  # the README and CI example
+            assert out == "-0.005629393361219105,0.9994092353579539\n"
 
     def test_r_beyond_every_tolerance_exits_one(self, capsys):
-        # Above r = 0.9986 the tail series needs more than MAX_TERMS head
-        # factors to converge across the band, whatever the tolerance.
+        # From r = 0.998497 the normalisation of the head factors
+        # overflows, whatever the tolerance.
         for tol in ("1e-12", "0.5"):
             code, out, err = run_cli(capsys, ["map", "--r", "0.999", "--x", "0.9995",
                                               "--z", "0.9992,0.01", "--trunc-tol", tol])
             assert code == 1
             assert out == ""
-            assert err == "slitkit: r = 0.999 needs more than 256 product terms for any trunc_tol\n"
+            assert err == ("slitkit: r = 0.999 overflows the normalisation prod "
+                           "(1 - q^n)^-2 of its 357 head factors, for any trunc_tol\n")
 
     def test_map_near_r_one_meets_its_bound(self, capsys):
         # 21 head factors and 20 tail terms at r = 0.97, where the plain

@@ -68,10 +68,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("trunc_tol", [math.nan, 0.0, 1e-12])
     def test_rejects_truncation_the_product_cannot_meet(self, trunc_tol):
-        # 1e-12 needs 224 head factors and 39 tail terms at r = 0.9984, more
-        # than MAX_TERMS = 256; nan and 0 are no tolerance.
+        # At r = 0.999 the head normalisation overflows for every tolerance;
+        # nan and 0 are no tolerance.
         with pytest.raises(DomainError, match="trunc_tol"):
-            CounterexampleConfig(r=0.9984, x0=0.9995, trunc_tol=trunc_tol)
+            CounterexampleConfig(r=0.999, x0=0.9998, trunc_tol=trunc_tol)
 
 
 class TestDeltaOf:
@@ -92,11 +92,40 @@ class TestDeltaOf:
         fine = CounterexampleConfig(r=0.25, x0=0.8, xi_scan_step=1e-3)
         coarse = CounterexampleConfig(r=0.25, x0=0.8, xi_scan_step=0.4)
         assert abs(delta_of(0.65, coarse) - delta_of(0.65, fine)) < 1e-9
-        # At x = 0.79 phi_x is within 1e-7 of the identity on the gap and
-        # psi' is about 5e-8 at the crossing, so Newton's residuals move the
-        # root by up to about 1e-6 between any two scans.
         coarse = CounterexampleConfig(r=0.25, x0=0.8, xi_scan_step=0.05)
-        assert abs(delta_of(0.79, coarse) - delta_of(0.79, fine)) < 1e-5
+        assert abs(delta_of(0.79, coarse) - delta_of(0.79, fine)) < 1e-8
+
+    @pytest.mark.parametrize("r, x0, x", [
+        (0.25, 0.8, 0.799), (0.6, 0.9, 0.899), (0.25, 0.8, 0.79), (0.1, 0.4, 0.399),
+    ])
+    def test_matches_mpmath_root_at_every_scan_step(self, r, x0, x, mp_omega):
+        # Close to x0, phi_x is within about 1e-7 of the identity and psi'
+        # at the crossing is about 5e-8, so an error of the preimage solve
+        # moves the crossing 2e7 times as far.  The reference is the root of
+        # g(z) = T_x(f_x(z)) - f_{x0}(z) for the infinite product at 40
+        # digits, where psi(f_{x0}(z)) = g(z); delta = f_{x0}(z*) + x0.
+        mp = pytest.importorskip("mpmath")
+        deltas = [delta_of(x, CounterexampleConfig(r=r, x0=x0, xi_scan_step=h))
+                  for h in (1e-3, 0.05, 0.005)]
+        seed = float(_Phi(x, x0, CounterexampleConfig(r=r, x0=x0).modulus())
+                     .solve(np.array([deltas[0] - x0]))[1][0])
+        with mp.workdps(40):
+            xm, x0m = mp.mpf(x), mp.mpf(x0)
+
+            def f(z, a):
+                return -(mp_omega(z, a, r) / mp_omega(z, 1 / a, r)) / a
+
+            c = f(x0m, xm)
+
+            def g(z):
+                w = f(z, xm)
+                return (w - c) / (1 - c * w) - f(z, x0m)
+
+            z_star = mp.findroot(g, mp.mpf(seed), tol=mp.mpf(10) ** -35)
+            assert r < z_star < x0
+            ref = float(f(z_star, x0m) + x0m)
+        assert max(abs(d - ref) for d in deltas) < 1e-8
+        assert max(deltas) - min(deltas) < 1e-8
 
     def test_ratio_grows_toward_x0(self, std_config):
         ratios = []
@@ -298,35 +327,38 @@ class TestEvidence:
 
 
 class TestWorkCounts:
-    def test_certificate_solves_few_scalars_per_crossing_and_never_marches(
-        self, std_config, monkeypatch
-    ):
-        solves, per_crossing = [], []
-        scalar = slitmap.f_inverse
+    def test_pipeline_makes_no_scalar_solve(self, std_config, monkeypatch):
+        # delta_of brackets its crossing in the preimage under f_{x0} with
+        # forward maps only, so no stage runs a scalar Newton solve.
+        per_crossing = []
 
-        def counting(p, w, seed):
-            solves.append(w)
-            return scalar(p, w, seed)
+        def scalar(p, w, seed):
+            raise AssertionError("the certify pipeline ran a scalar Newton solve")
 
         def march(p, w):
             raise AssertionError("the certify pipeline marched along the real segment")
 
         root = counterexample._bracket_root
 
-        def counting_root(*args):
-            before = len(solves)
-            out = root(*args)
-            per_crossing.append(len(solves) - before)
-            return out
+        def counting_root(g, *args):
+            per_crossing.append(0)
 
-        monkeypatch.setattr(slitmap, "f_inverse", counting)
-        monkeypatch.setattr(counterexample, "f_inverse", counting)
+            def counted(z):
+                per_crossing[-1] += 1
+                return g(z)
+
+            return root(counted, *args)
+
+        # An imported binding in counterexample would bypass the slitmap
+        # one, so both namespaces get the guard.
+        for module in (slitmap, counterexample):
+            monkeypatch.setattr(module, "f_inverse", scalar, raising=False)
         monkeypatch.setattr(slitmap, "f_inverse_real_segment", march)
         monkeypatch.setattr(counterexample, "_bracket_root", counting_root)
         cert = certify_degenerate(std_config)
         revalidate_certificate(std_config, cert, std_config.trunc_tol / 100.0)
+        nondegenerate_evidence(std_config, cert)
         assert per_crossing and max(per_crossing) <= 20
-        assert len(solves) == sum(per_crossing)
 
     def test_evidence_makes_one_newton_call(self, std_config, std_certificate, monkeypatch):
         sizes = []

@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,6 @@ from slitkit.prime import (
     BAND_INNER,
     BAND_OUTER,
     FACTOR_ZERO,
-    MAX_TERMS,
     AnnulusModulus,
     _hits_factor_zero,
     _omega,
@@ -77,59 +75,44 @@ class TestModulus:
         assert m.plan[0] >= 1
         _assert_within_bound(m, mp_omega)
 
-    def test_term_cap(self):
-        # The limit binds on M + K: at 1e-12 the plan needs 224 + 39 = 263
-        # terms at r = 0.9984, and the message names a tolerance just above
-        # the bound that the same M reaches with MAX_TERMS terms.  From
-        # r = 0.9985 the normalisation of the head factors overflows, and
-        # above r = 0.9986 the rule for M alone asks for more than MAX_TERMS
-        # factors.
-        r = 0.9984
-        with pytest.raises(DomainError, match=rf"r = {r} needs \d+ product factors and \d+ series terms") as err:
-            AnnulusModulus(r)
-        reach = float(str(err.value).rsplit(">= ", 1)[1])
-        m = AnnulusModulus(r, reach)
-        assert m.n_terms <= MAX_TERMS
-        tightest = truncation_error_bound(m, 1.0, r * r * (1.0 + 1e-12))
-        assert tightest <= reach < 1.02 * tightest
-        for r in (0.9985, 0.99855):
+    @pytest.mark.parametrize("tol", [1.0, 1e-12, 1e-300, 5e-324])
+    def test_every_tolerance_up_to_the_overflow_limit(self, tol):
+        # Every positive finite tolerance has a plan below the limit.  From
+        # r = 0.998497 the normalisation of the head factors overflows,
+        # whatever the tolerance, and it stops at the overflow however many
+        # head factors r asks for.
+        for r in (0.99836, 0.9984, 0.99849, 0.998496):
+            m = AnnulusModulus(r, tol)
+            assert prime._worst_bound(r * r, *m.plan) <= tol
+            assert math.isfinite(m.normalisation)
+        for r in (0.998497, 0.9985, 0.99852, 0.99855, 0.999, 1.0 - 1e-12):
             with pytest.raises(DomainError, match=rf"r = {r} overflows the normalisation .* for any trunc_tol"):
-                AnnulusModulus(r, 0.5)
-        for r in (0.9987, 0.999, 0.9999):
-            with pytest.raises(DomainError, match=rf"r = {r} needs more than {MAX_TERMS} product terms for any"):
-                AnnulusModulus(r, 0.5)
+                AnnulusModulus(r, tol)
 
     def test_plan_table(self):
         # Deterministic work counts at trunc_tol = 1e-12, (M, K) per r.  For
         # scale, the rule r^(2N) <= trunc_tol gives the plain product 6, 16,
         # 20, 39, 62 and 132 factors at r = 0.1, 0.4, 0.5, 0.7, 0.8 and 0.9.
         plans = {0.1: (2, 2), 0.2: (3, 2), 0.4: (4, 3), 0.5: (4, 4), 0.7: (6, 6),
-                 0.8: (8, 7), 0.9: (11, 11), 0.97: (21, 20), 0.99: (37, 35)}
+                 0.8: (8, 7), 0.9: (11, 11), 0.97: (21, 20), 0.99: (37, 35),
+                 0.9984: (224, 39)}
         assert {r: AnnulusModulus(r).plan for r in plans} == plans
 
     @settings(max_examples=150, deadline=None)
     @given(
-        # The second range holds the r where tight tolerances pass the limit.
-        r=st.one_of(st.floats(0.01, 0.9984), st.floats(0.9982, 0.9984)),
+        # The second range holds the r next to the overflow limit.
+        r=st.one_of(st.floats(0.01, 0.998496), st.floats(0.9982, 0.998496)),
         e1=st.floats(-15.0, 0.0),
         e2=st.floats(-15.0, 0.0),
     )
     @example(r=0.9984, e1=0.0, e2=-12.0)
     @example(r=0.9983, e1=-13.0, e2=-15.0)
     def test_plan_is_least_tail_for_one_head(self, r, e1, e2):
-        # M depends on r alone and K is the least count that meets tol; a
-        # tolerance over the limit names the plan it needs and a tolerance
-        # that the same M meets with at most MAX_TERMS terms.
+        # M depends on r alone and K is the least count that meets tol.
         q = r * r
         heads, terms = set(), []
         for tol in (10.0 ** max(e1, e2), 10.0 ** min(e1, e2)):
-            try:
-                head, tail = AnnulusModulus(r, tol).plan
-            except DomainError as err:
-                needs = re.search(r"needs (\d+) product factors and (\d+) series terms", str(err))
-                head, tail = int(needs[1]), int(needs[2])
-                reach = AnnulusModulus(r, float(str(err).rsplit(">= ", 1)[1]))
-                assert reach.plan[0] == head and reach.n_terms <= MAX_TERMS
+            head, tail = AnnulusModulus(r, tol).plan
             assert prime._worst_bound(q, head, tail) <= tol
             assert tail == 0 or prime._worst_bound(q, head, tail - 1) > tol
             heads.add(head)

@@ -10,7 +10,6 @@ from slitkit import slitmap
 from slitkit.counterexample import CounterexampleConfig, make_shrinking_arcs
 from slitkit.errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
 from slitkit.prime import (
-    MAX_TERMS,
     AnnulusModulus,
     _omega_log_deriv,
     prime_omega,
@@ -34,14 +33,6 @@ from slitkit.slitmap import (
     slit_endpoint,
     _Phi,
 )
-
-
-def _full_tol(r):
-    """max(1e-12, 1.000001 r^(2 MAX_TERMS)): 1e-12 up to r = 0.947, looser above.
-
-    At r = 0.95 it is 3.97e-12, at r = 0.97 1.7e-7.
-    """
-    return max(1e-12, 1.000001 * r ** (2 * MAX_TERMS))
 
 
 @pytest.fixture(scope="module")
@@ -164,19 +155,16 @@ class TestTruncationLimit:
         _assert_map_within_bound(m, x, z)
 
     @pytest.mark.parametrize("r", [0.99836, 0.9984])
-    def test_named_tolerance_meets_its_bound(self, r):
-        # The default tolerance needs more than MAX_TERMS terms here and
-        # raises; at the tolerance the error names, f_x agrees with the
-        # infinite product within its bound.  The prime functions overflow
-        # away from the positive real axis at this r, and everywhere above
-        # r = 0.9985, so the points keep |arg z| <= 0.3.
-        with pytest.raises(DomainError, match="series terms") as err:
-            AnnulusModulus(r)
-        m = AnnulusModulus(r, float(str(err.value).rsplit(">= ", 1)[1]))
+    def test_default_tolerance_meets_its_bound_near_limit(self, r):
+        # 218 + 39 and 224 + 39 terms: every tolerance is met below the
+        # overflow limit at r = 0.998497, and f_x agrees with the infinite
+        # product within its bound at any angle, although the prime
+        # functions overflow away from the positive real axis here.
+        m = AnnulusModulus(r)
         x = 0.5 * (r + 1.0)
         rng = np.random.default_rng(43)
         mag = rng.uniform(r + 0.1 * (1.0 - r), 1.0 - 0.1 * (1.0 - r), 2)
-        _assert_map_within_bound(m, x, mag * np.exp(1j * rng.uniform(-0.3, 0.3, 2)))
+        _assert_map_within_bound(m, x, mag * np.exp(1j * rng.uniform(-math.pi, math.pi, 2)))
 
     def test_off_axis_near_limit_meets_its_bound(self):
         # At r = 0.998 both prime functions overflow away from the real axis
@@ -195,20 +183,14 @@ class TestTruncationLimit:
         assert np.all(np.isfinite(f_prime(p, z)))
         assert abs(slit_endpoint(p).radius - x) < 1e-12
 
-    @pytest.mark.parametrize("r", [0.99845, 0.99849, 0.998495, 0.9985, 0.99852, 0.99855])
-    def test_named_tolerance_evaluates(self, r):
-        # Near the limit the default raises.  Either no tolerance is named,
-        # because the head normalisation overflows for every one, or the
-        # named tolerance gives f_x finite at points with |arg z| <= 0.3.
-        with pytest.raises(DomainError) as err:
-            AnnulusModulus(r)
-        if str(err.value).endswith("for any trunc_tol"):
-            return
-        m = AnnulusModulus(r, float(str(err.value).rsplit(">= ", 1)[1]))
+    @pytest.mark.parametrize("r", [0.99845, 0.99849, 0.998495])
+    def test_default_tolerance_evaluates_near_limit(self, r):
+        # Up to the overflow limit the default plan gives f_x finite on a
+        # polar grid that spans every angle.
         x = 0.5 * (r + 1.0)
         mag = np.linspace(r * (1.0 + 1e-6), x * (1.0 - 1e-6), 20)
-        z = mag[:, None] * np.exp(1j * np.linspace(-0.3, 0.3, 21))
-        assert np.all(np.isfinite(f_eval(SlitMapParams(m, x), z)))
+        z = mag[:, None] * np.exp(1j * np.linspace(-math.pi, math.pi, 41))
+        assert np.all(np.isfinite(f_eval(SlitMapParams(AnnulusModulus(r), x), z)))
 
 
 class TestDerivative:
@@ -323,7 +305,7 @@ class TestKernelAgreement:
         # and the difference of the two log derivatives, which truncate each
         # prime function alike, at interior points and at the edges of the
         # extended annulus.
-        m = AnnulusModulus(r, _full_tol(r))
+        m = AnnulusModulus(r)
         x = 0.5 * (r + 1.0)
         p = SlitMapParams(m, x)
         rng = np.random.default_rng(45)
@@ -385,7 +367,7 @@ class TestWorkCounts:
         evals = []
         for r, x in zip(rs.tolist(), xs.tolist()):
             passes["_fx_log_deriv"] = 0
-            got = slit_endpoint(SlitMapParams(AnnulusModulus(r, _full_tol(r)), x)).preimage_theta
+            got = slit_endpoint(SlitMapParams(AnnulusModulus(r), x)).preimage_theta
             evals.append(passes["_fx_log_deriv"])
             assert abs(got - _bisected_endpoint_theta(r, x)) <= 2e-13
         assert np.median(evals) <= 17
@@ -394,7 +376,7 @@ class TestWorkCounts:
 
 def _bisected_endpoint_theta(r, x):
     """The preimage angle of the slit endpoint by plain bisection on h."""
-    m = AnnulusModulus(r, _full_tol(r))
+    m = AnnulusModulus(r)
 
     def h(theta):
         z = r * cmath.exp(1j * theta)
@@ -534,7 +516,7 @@ class TestInverse:
         # f_x maps [r, x] onto [-x, 0], so |f'| there averages x/(x - r),
         # 2e4 and 9e3 here, and rounding z alone can leave a residual above
         # NEWTON_TOL (1 + |w|).
-        p = SlitMapParams(AnnulusModulus(r, _full_tol(r)), x)
+        p = SlitMapParams(AnnulusModulus(r), x)
         z = f_inverse_real_segment(p, -0.5)
         assert slitmap._converged(f_eval(p, z) + 0.5, -0.5, z, f_prime(p, z))
         w = np.linspace(-x, 0.0, 2001)[:-1]
@@ -620,7 +602,7 @@ class TestArrayNewton:
     @pytest.mark.parametrize("near", ["r", "1"])
     def test_table_seeds_reach_every_real_target(self, r, near):
         x = r + 0.02 * (1.0 - r) if near == "r" else 0.99
-        p = SlitMapParams(AnnulusModulus(r, _full_tol(r)), x)
+        p = SlitMapParams(AnnulusModulus(r), x)
         w = np.linspace(-x, 0.0, 2001)
         seeds = slitmap._seeds(p, w)
         assert np.all((seeds >= r) & (seeds <= x))

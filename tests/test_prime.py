@@ -75,6 +75,19 @@ class TestModulus:
         assert m.plan[0] >= 1
         _assert_within_bound(m, mp_omega)
 
+    def test_term_cap(self):
+        # No cap binds on M + K: at 1e-12 the plan takes 224 + 39 = 263
+        # terms at r = 0.9984 and meets the tolerance.  The one limit left is
+        # the overflow of the head normalisation, which the error names
+        # however many head factors r asks for.
+        r = 0.9984
+        m = AnnulusModulus(r)
+        assert m.plan == (224, 39) and m.n_terms == 263
+        assert truncation_error_bound(m, 1.0, r * r * (1.0 + 1e-12)) <= m.trunc_tol
+        for r in (0.9985, 0.99855, 0.9987, 0.999, 0.9999):
+            with pytest.raises(DomainError, match=rf"r = {r} overflows the normalisation .* head factors, for any trunc_tol"):
+                AnnulusModulus(r, 0.5)
+
     @pytest.mark.parametrize("tol", [1.0, 1e-12, 1e-300, 5e-324])
     def test_every_tolerance_up_to_the_overflow_limit(self, tol):
         # Every positive finite tolerance has a plan below the limit.  From

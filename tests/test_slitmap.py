@@ -192,6 +192,17 @@ class TestTruncationLimit:
         z = mag[:, None] * np.exp(1j * np.linspace(-math.pi, math.pi, 41))
         assert np.all(np.isfinite(f_eval(SlitMapParams(AnnulusModulus(r), x), z)))
 
+    @pytest.mark.parametrize("r", [0.9985, 0.99852, 0.99855])
+    def test_named_tolerance_evaluates(self, r):
+        # Above the overflow limit the error names no tolerance to retry
+        # with: the head normalisation overflows for every one, so neither
+        # the default nor the loosest tolerance builds a map.
+        for tol in (None, 1.0):
+            with pytest.raises(DomainError) as err:
+                AnnulusModulus(r) if tol is None else AnnulusModulus(r, tol)
+            assert str(err.value).endswith("for any trunc_tol")
+            assert ">=" not in str(err.value)
+
 
 class TestDerivative:
     def test_matches_finite_differences(self, params):

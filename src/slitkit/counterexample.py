@@ -94,7 +94,8 @@ class CounterexampleConfig:
         object.__setattr__(self, "n_list", n_list)
         if self.m < 3:
             raise DomainError("connectivity m must be at least 3")
-        # AnnulusModulus checks trunc_tol, the term limit included.
+        # AnnulusModulus checks trunc_tol and r, which it rejects from about
+        # 0.998497 on, where the head normalisation overflows.
         self.modulus()
 
     def modulus(self, trunc_tol: float | None = None) -> AnnulusModulus:
@@ -490,15 +491,19 @@ def _shrinking_arcs(cfg: CounterexampleConfig, zeta_star: float, n: int,
         raise DomainError("zeta_star must lie in (-x0, 0)")
     az = abs(zeta_star)
     clearance = 1.0 / n
-    if 1.0 - az <= clearance:
-        raise GeometryError("disk around zeta_star reaches the unit circle")
     slit_dist = float(
         _point_to_arc_dist(
             np.asarray(complex(zeta_star)), cfg.x0, theta_a, 2.0 * math.pi - theta_a
         )
     )
-    if slit_dist <= clearance:
-        raise GeometryError("disk around zeta_star reaches the slit")
+    for boundary, dist in (("unit circle", 1.0 - az), ("slit", slit_dist)):
+        if dist <= clearance:
+            # 1/n < d holds from n = floor(1/d) + 1 on.
+            least = math.floor(1.0 / min(1.0 - az, slit_dist)) + 1
+            raise GeometryError(
+                f"disk of radius 1/n around zeta_star reaches the {boundary} at "
+                f"n = {n}; it clears the slit and the unit circle from n = {least}"
+            )
     width = 1.0 / (4.0 * n * az)
     arcs = []
     for j in range(1, cfg.m - 1):

@@ -22,21 +22,19 @@ K = 0 is the plain product of M factors, run by the same code.
 `truncation_error_bound` bounds the remainder of the series in closed form.
 
 Evaluations accept scalars or numpy arrays and broadcast elementwise.
-The public functions check their arguments (band, poles, overflow) once per
-call; the private kernels only do the arithmetic and expect inputs that a
-caller has already checked.  Each serves one public function:
+`prime_omega` checks its arguments (band, overflow) once per call; the one
+kernel, `_omega(z, a, m)`, only does the arithmetic.
 
-- `_omega(z, a, m)` returns omega(z, a), for `prime_omega`;
-- `_omega_log_deriv(z, a, m)` returns (omega(z, a), d/dz log omega(z, a))
-  from one pass over the head factors and the tail series, whose log
-  derivative is -(1/z) sum_k k c_k (zeta^k - zeta^-k), for
-  `prime_omega_log_deriv`.  Its value is bit for bit the value of `_omega`,
-  because both form the factors, the series and their product in the same
-  order.
-
-The slit maps of `slitmap` divide two prime functions, in which the
-normalisation and the tail constant cancel; they run kernels of their own
-on the same plan and coefficients.
+The slit maps of `slitmap` divide two prime functions.  They run a pair of
+kernels of their own on the same plan and coefficients, one for f_x and one
+for f_x together with f_x'/f_x, rather than two calls of `_omega`.  In their
+single ratio product the normalisations and the tail constants cancel, the
+two tails merge into one series, and a start value of sqrt(N), N the head
+normalisation, keeps every partial product finite up to the overflow limit
+of r below.  Two calls of `_omega` would sum two tails and lose that start
+value; on a 2-vCPU Xeon (best of 30 runs) they took 1.04 ms against 0.55 ms
+at r = 0.1 and 1.93 ms against 1.32 ms at r = 0.9 for 8,192 complex points,
+and 4.0 us against 2.1 us and 10.0 us against 6.9 us for one point.
 
 The constants prod_{n<=M} (1 - q^n)^-2 and 2 sum_k c_k do not depend on z or
 a, so they are computed once per modulus (`AnnulusModulus.normalisation` and
@@ -44,11 +42,11 @@ a, so they are computed once per modulus (`AnnulusModulus.normalisation` and
 
 trunc_tol bounds the relative truncation error of omega(z, a) wherever
 r^2 <= |z/a| <= 1/r^2, which holds at every slit-map evaluation.  It bounds
-values, not derivatives; `prime_omega_log_deriv` bounds the log derivative.
+values, not derivatives; `slitmap.f_prime` bounds the derivative of f_x.
 `AnnulusModulus.plan` is (M, K): M by r alone (`_head`), K the least count
 with which M meets trunc_tol; at 1e-12, 2 + 2 terms at r = 0.1, 11 + 11 at
 r = 0.9 and 37 + 35 at r = 0.99.  M keeps q0 |z/a| <= 1/2 in the band, so
-no tail factor vanishes there and `_hits_factor_zero` tests the head only.
+no tail factor vanishes there.
 
 Every trunc_tol is met by some K, so the one limit is r: from about
 r = 0.998497 the head normalisation overflows, and the modulus is rejected
@@ -67,11 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericalOverflowError, PoleError
-
-# A factor whose magnitude falls below this is treated as an exact zero when
-# deciding whether a log-derivative evaluation sits on a pole.
-FACTOR_ZERO = 1e-300
+from .errors import DomainError, NumericalOverflowError
 
 # Evaluations are accepted slightly beyond the annulus of holomorphy that the
 # slit maps need, and rejected outside this band.
@@ -214,8 +208,8 @@ class AnnulusModulus:
         return out
 
     @cached_property
-    def tail(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-        """(c_1 .. c_K, 1 c_1 .. K c_K, 2 sum_k c_k) of the tail series."""
+    def tail(self) -> tuple[tuple[float, ...], float]:
+        """(c_1 .. c_K, 2 sum_k c_k) of the tail series."""
         head, tail = self.plan
         q = self.r * self.r
         q0 = q ** (head + 1)
@@ -225,9 +219,7 @@ class AnnulusModulus:
             q0k *= q0
             qk *= q
             coeffs.append(q0k / (k * (1.0 - qk)))
-        coeffs = tuple(coeffs)
-        slopes = tuple(k * c for k, c in enumerate(coeffs, 1))
-        return coeffs, slopes, 2.0 * sum(coeffs)
+        return tuple(coeffs), 2.0 * sum(coeffs)
 
 
 def _check_band(v, m: AnnulusModulus, name: str) -> None:
@@ -244,8 +236,10 @@ def _check_band(v, m: AnnulusModulus, name: str) -> None:
 def _exp(x):
     """np.exp, giving a Python scalar back for a Python scalar.
 
-    Scalars and arrays take the same numpy exp, so a point gives the same
-    bits alone as inside an array.
+    Scalars and arrays take the same numpy exp, so a real point gives the
+    same bits alone as inside an array.  A complex point may not: before the
+    exp, the kernels divide a Python complex scalar by Python's complex
+    division and an array by numpy's, whose last bits can differ.
     """
     out = np.exp(x)
     return out if isinstance(x, np.ndarray) else type(x)(out)
@@ -262,7 +256,7 @@ def _omega(z, a, m: AnnulusModulus):
         rp *= q
         t = t * ((1.0 - rp * za) * (1.0 - rp * az))
     out = (z - a) * (t * m.normalisation)
-    coeffs, _, const = m.tail
+    coeffs, const = m.tail
     if coeffs:
         # Horner in zeta and in 1/zeta: p za = sum_k c_k zeta^k.
         p = pi = coeffs[-1]
@@ -271,46 +265,6 @@ def _omega(z, a, m: AnnulusModulus):
             pi = pi * az + c
         out = out * _exp(const - (p * za + pi * az))
     return out
-
-
-def _omega_log_deriv(z, a, m: AnnulusModulus):
-    """`_omega` and its log derivative in z from one pass over the terms.
-
-    z and a must be checked and z off the zeros of omega.  With u = q^n z/a
-    and v = q^n a/z the factor 1 - u contributes -u/(z (1 - u)) and the
-    factor 1 - v contributes v/(z (1 - v)).  Their sum is
-    (v - u)/(z (1 - u)(1 - v)), so each factor pair costs one division by
-    the product (1 - u)(1 - v) that the value already forms.  The tail
-    contributes -(1/z) sum_k k c_k (zeta^k - zeta^-k), summed by Horner
-    beside the series itself.
-    """
-    za = z / a
-    az = a / z
-    q = m.r * m.r
-    rp = 1.0
-    t = 1.0
-    s = 0.0
-    for _ in range(m.plan[0]):
-        rp *= q
-        u = rp * za
-        v = rp * az
-        fuv = (1.0 - u) * (1.0 - v)
-        t = t * fuv
-        s = s + (v - u) / fuv
-    diff = z - a
-    out = diff * (t * m.normalisation)
-    coeffs, slopes, const = m.tail
-    if coeffs:
-        p = pi = coeffs[-1]
-        d = di = slopes[-1]
-        for c, kc in zip(coeffs[-2::-1], slopes[-2::-1]):
-            p = p * za + c
-            pi = pi * az + c
-            d = d * za + kc
-            di = di * az + kc
-        out = out * _exp(const - (p * za + pi * az))
-        s = s - (d * za - di * az)
-    return out, 1.0 / diff + s / z
 
 
 def prime_omega(z, a, m: AnnulusModulus):
@@ -328,59 +282,6 @@ def prime_omega(z, a, m: AnnulusModulus):
         out = _omega(z, a, m)
     if not np.all(np.isfinite(np.abs(out))):
         raise NumericalOverflowError("prime function product overflowed")
-    return out
-
-
-def _hits_factor_zero(z, a, m: AnnulusModulus) -> bool:
-    """True if a head factor 1 - q^n z/a or 1 - q^n a/z is below FACTOR_ZERO.
-
-    |q^n z/a| = 1 at n = -log|z/a| / log q and |q^n a/z| = 1 at the negative
-    of that, so only the nearest index in [1, M] can hold a zero.  Testing
-    that one factor per point and side, with q^n formed as the product loop
-    forms it, needs memory of the size of the points, not M times it.  The
-    tail needs no test: M keeps q^n |z/a| and q^n |a/z| at most 1/2 for
-    every n > M in the band, so no tail factor comes near 0.
-    """
-    head = m.plan[0]
-    rp = np.cumprod(np.full(head, m.r * m.r))
-    k = np.log(np.abs(z / a)) / (2.0 * math.log(m.r))
-    n_u = np.clip(np.rint(-k), 1, head).astype(int) - 1
-    n_v = np.clip(np.rint(k), 1, head).astype(int) - 1
-    return bool(
-        np.any(abs(1.0 - rp[n_u] * z / a) < FACTOR_ZERO)
-        or np.any(abs(1.0 - rp[n_v] * a / z) < FACTOR_ZERO)
-    )
-
-
-def prime_omega_log_deriv(z, a, m: AnnulusModulus):
-    """Logarithmic derivative d/dz log omega(z, a) of the kernel's omega.
-
-    Differentiating the head factors termwise and the tail series gives
-
-        1/(z - a) + sum_{n<=M} [ (-q^n/a)/(1 - q^n z/a) + (q^n a/z^2)/(1 - q^n a/z) ]
-                  - (1/z) sum_{k<=K} k c_k ((z/a)^k - (a/z)^k),
-
-    which is exactly the derivative of what `prime_omega` evaluates, so finite
-    difference checks against `prime_omega` close to machine precision.
-
-    It is off the infinite product's by R' = (1/z) sum_{k>K} k c_k (zeta^k -
-    zeta^-k), the remainder's derivative.  As k c_k <= q0^k / (1 - q^(K+1)),
-    with rho1 and rho2 as in `truncation_error_bound`,
-
-        |R'| <= [rho1^(K+1)/(1 - rho1) + rho2^(K+1)/(1 - rho2)] / ((1 - q^(K+1)) |z|).
-    """
-    _check_band(z, m, "z")
-    _check_band(a, m, "a")
-    diff = z - a
-    if np.any(np.abs(diff) < FACTOR_ZERO):
-        raise PoleError("log derivative evaluated at z = a")
-    if _hits_factor_zero(z, a, m):
-        raise PoleError("log derivative evaluated at a zero of omega")
-    # Only the log derivative is returned; the product beside it may overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _omega_log_deriv(z, a, m)[1]
-    if not np.all(np.isfinite(np.abs(out))):
-        raise NumericalOverflowError("log derivative overflowed")
     return out
 
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .prime import FACTOR_ZERO, AnnulusModulus, _exp
+from .prime import AnnulusModulus, _exp
 
 NEWTON_MAX_ITER = 64
 NEWTON_TOL = 1e-12
@@ -77,6 +77,8 @@ ENDPOINT_THETA_WIDTH = 1e-13
 # h over 600 seeded (r, x): 16 evaluations at the median, 22 at most.
 ITP_K1 = 5.0
 ITP_N0 = 3
+# `f_prime` treats |z - x| below this as z = x, the zero of f_x.
+FACTOR_ZERO = 1e-300
 
 
 @dataclass(frozen=True)
@@ -302,10 +304,17 @@ def f_prime(p: SlitMapParams, z):
     z = x exactly.  Every other zero of either prime function in the annulus
     of holomorphy is a pole of f_x, which the checks of `_map` reject.
 
-    trunc_tol bounds values only.  Against the infinite product, each of the
-    two log derivatives is off by at most the |R'| bound that
-    `prime_omega_log_deriv` states, for a = x and a = 1/x, and f_x by the
-    sum B of the two `truncation_error_bound`s, so to first order
+    trunc_tol bounds values only.  The log derivative of the truncated
+    omega(z, a) is off the infinite product's by the derivative of the tail
+    series' remainder, R'_a = (1/z) sum_{k>K} k c_k (zeta^k - zeta^-k) with
+    zeta = z/a and q0 = q^(M+1), K and c_k those of `prime`.  As
+    k c_k <= q0^k / (1 - q^(K+1)), with rho1 = q0 |z/a| and rho2 = q0 |a/z|
+    as in `truncation_error_bound`,
+
+        |R'_a| <= [rho1^(K+1)/(1 - rho1) + rho2^(K+1)/(1 - rho2)] / ((1 - q^(K+1)) |z|).
+
+    f_x is off by at most the sum B of the two `truncation_error_bound`s for
+    a = x and a = 1/x, so to first order
 
         |f_x' - exact| <= |f_x| (|R'_x| + |R'_{1/x}|) + B |f_x'|.
     """

@@ -261,8 +261,24 @@ class TestArcFamily:
             assert _family_diameter(samples) == all_pairs
 
     def test_geometry_error_when_disk_too_large(self, std_config, std_certificate):
-        with pytest.raises(GeometryError):
+        # zeta_star = -0.55625 lies 0.44375 from the unit circle and 0.24375
+        # from the slit, so the 1/n disk clears both from n = 5.
+        with pytest.raises(GeometryError, match=r"reaches the unit circle at n = 2; .* from n = 5$"):
             make_shrinking_arcs(std_config, std_certificate.zeta_star, 2)
+
+    def test_geometry_error_names_least_clearing_n(self):
+        # At (r, x0) = (0.1, 0.4) the certificate passes with zeta_star =
+        # -0.325, 0.075 from the slit: the default n_list starts inside the
+        # slit's reach, and the 1/n disk clears it from n = floor(1/0.075) + 1.
+        cfg = CounterexampleConfig(r=0.1, x0=0.4)
+        cert = certify_degenerate(cfg)
+        assert cert.passed and cert.zeta_star == -0.325
+        with pytest.raises(GeometryError, match=r"reaches the slit at n = 10; .* from n = 14$"):
+            nondegenerate_evidence(cfg, cert)
+        with pytest.raises(GeometryError, match=r"reaches the slit at n = 13; .* from n = 14$"):
+            make_shrinking_arcs(cfg, cert.zeta_star, 13)
+        table = nondegenerate_evidence(dataclasses.replace(cfg, n_list=(14, 20, 40)), cert)
+        assert [row.n for row in table.rows] == [14, 20, 40]
 
     def test_higher_connectivity_arcs_disjoint(self, std_certificate):
         cfg = CounterexampleConfig(r=0.25, x0=0.8, m=5)

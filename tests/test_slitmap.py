@@ -9,13 +9,7 @@ from hypothesis import given, settings, strategies as st
 from slitkit import slitmap
 from slitkit.counterexample import CounterexampleConfig, make_shrinking_arcs
 from slitkit.errors import ConvergenceError, DomainError, NumericalOverflowError, PoleError
-from slitkit.prime import (
-    AnnulusModulus,
-    _omega_log_deriv,
-    prime_omega,
-    prime_omega_log_deriv,
-    truncation_error_bound,
-)
+from slitkit.prime import AnnulusModulus, prime_omega, truncation_error_bound
 from slitkit.slitmap import (
     MobiusReal,
     SlitMapParams,
@@ -133,7 +127,7 @@ def _assert_map_within_bound(m, x, z):
 
 
 def _log_deriv_bound(m, zm, am):
-    """The |R'| bound of `prime_omega_log_deriv` for |z| = zm, |a| = am."""
+    """The |R'_a| bound of `f_prime` for |z| = zm, |a| = am."""
     head, tail = m.plan
     q = m.r * m.r
     q0, k1 = q ** (head + 1), tail + 1
@@ -265,8 +259,8 @@ class TestDerivative:
     @pytest.mark.parametrize("r", [0.5, 0.9])
     def test_meets_infinite_product_within_derivative_bound(self, r, trunc_tol, mp_omega):
         # f' = f (L(z, x) - L(z, 1/x)) for the log derivatives L of the two
-        # prime functions.  Each L is off by at most the bound D of
-        # `prime_omega_log_deriv`, and f by the two value bounds, so f' is
+        # prime functions.  Each L is off by at most the bound D that
+        # `f_prime` states, and f by the two value bounds, so f' is
         # within |f| (D_x + D_1/x) + |f'| (B_x + B_1/x) of the infinite
         # product's derivative, plus rounding.
         mp = pytest.importorskip("mpmath")
@@ -312,10 +306,11 @@ class TestFusedKernel:
 class TestKernelAgreement:
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.97, 0.99])
     def test_matches_prime_function_ratio(self, r):
-        # The kernel's f_x and f_x'/f_x against -(1/x) omega(z, x)/omega(z, 1/x)
-        # and the difference of the two log derivatives, which truncate each
-        # prime function alike, at interior points and at the edges of the
-        # extended annulus.
+        # The kernel's f_x against -(1/x) omega(z, x)/omega(z, 1/x), and its
+        # f_x'/f_x against mpmath's log derivative of that ratio of the
+        # truncated prime functions, at interior points and at the edges of
+        # the extended annulus.
+        mp = pytest.importorskip("mpmath")
         m = AnnulusModulus(r)
         x = 0.5 * (r + 1.0)
         p = SlitMapParams(m, x)
@@ -326,7 +321,25 @@ class TestKernelAgreement:
         val, dlog = slitmap._map_log_deriv(p, z)
         assert np.array_equal(val, f_eval(p, z))
         ref = -(prime_omega(z, x, m) / prime_omega(z, 1.0 / x, m)) / x
-        ref_dlog = prime_omega_log_deriv(z, x, m) - prime_omega_log_deriv(z, 1.0 / x, m)
+        # mpmath differentiates, at 30 digits, the function the kernels
+        # evaluate: M head factors times the exp of K series terms.
+        head, tail = m.plan
+        with mp.workdps(30):
+            xm, q = mp.mpf(x), mp.mpf(r) ** 2
+            c = [q ** ((head + 1) * k) / (k * (1 - q ** k)) for k in range(1, tail + 1)]
+
+            def omega(w, a):
+                out = w - a
+                for n in range(1, head + 1):
+                    out *= (1 - q ** n * w / a) * (1 - q ** n * a / w) / (1 - q ** n) ** 2
+                zeta = w / a
+                return out * mp.exp(-sum(ck * (zeta ** k + zeta ** -k - 2)
+                                         for k, ck in enumerate(c, 1)))
+
+            def f(w):
+                return -(omega(w, xm) / omega(w, 1 / xm)) / xm
+
+            ref_dlog = [complex(mp.diff(f, w) / f(w)) for w in map(mp.mpc, z.tolist())]
         for i, zm in enumerate(mag.tolist()):
             bound = truncation_error_bound(m, zm, x) + truncation_error_bound(m, zm, 1.0 / x)
             assert abs(val[i] - ref[i]) <= (1e-14 + bound) * abs(ref[i]), (r, z[i])
@@ -377,21 +390,23 @@ class TestWorkCounts:
         xs = rs + (1.0 - rs) * rng.uniform(0.05, 0.95, 600)
         evals = []
         for r, x in zip(rs.tolist(), xs.tolist()):
+            p = SlitMapParams(AnnulusModulus(r), x)
+            want = _bisected_endpoint_theta(p)
             passes["_fx_log_deriv"] = 0
-            got = slit_endpoint(SlitMapParams(AnnulusModulus(r), x)).preimage_theta
+            got = slit_endpoint(p).preimage_theta
             evals.append(passes["_fx_log_deriv"])
-            assert abs(got - _bisected_endpoint_theta(r, x)) <= 2e-13
+            assert abs(got - want) <= 2e-13
         assert np.median(evals) <= 17
         assert max(evals) <= 47
 
 
-def _bisected_endpoint_theta(r, x):
-    """The preimage angle of the slit endpoint by plain bisection on h."""
-    m = AnnulusModulus(r)
+def _bisected_endpoint_theta(p):
+    """The preimage angle of the slit endpoint by plain bisection on the h
+    of `slit_endpoint`, so that only the root finder differs."""
 
     def h(theta):
-        z = r * cmath.exp(1j * theta)
-        return (z * (_omega_log_deriv(z, x, m)[1] - _omega_log_deriv(z, 1.0 / x, m)[1])).real
+        z = p.r * cmath.exp(1j * theta)
+        return (z * slitmap._fx_log_deriv(p, z)[1]).real
 
     lo, hi = slitmap.ENDPOINT_THETA_PAD, math.pi - slitmap.ENDPOINT_THETA_PAD
     h_lo = h(lo)

@@ -16,19 +16,19 @@ import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 from .prime import DEFAULT_TRUNC_TOL, AnnulusModulus
-from .slitmap import MobiusReal, SlitMapParams, f_eval, mobius_apply
+from .slitmap import MobiusReal, SlitMapParams, _slit_dist, f_eval
 
 NODE_CLEARANCE = 1e-12
 MATRIX_TOL = 1e-10
 # Most target-node pairs log_potential holds in memory at once.
 POTENTIAL_CHUNK_PAIRS = 2**16
-COMPETITOR_SAMPLES = 4096
 
 
 @lru_cache(maxsize=4)
 def _unit_ring(n: int) -> np.ndarray:
     """The n equally spaced points exp(2 pi i k/n) of the unit circle, built
-    once per n and read-only, since every caller shares them."""
+    once per n and read-only, since its one caller, `uniform_circle_measure`,
+    shares them between measures."""
     ring = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
     ring.setflags(write=False)
     return ring
@@ -267,21 +267,20 @@ def competitor_boundary_dist(
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     inverted: bool = False,
 ) -> float:
-    """Sampled dist(0, boundary image) for one normalized competitor map.
+    """dist(0, boundary image) for one normalized competitor map.
 
-    The competitor is T(f_x(.)) recentered so z0 maps to 0, optionally
-    precomposed with z -> r/z.  Both boundary circles are sampled at
-    COMPETITOR_SAMPLES points each and the least image modulus is returned.
-    No competitor can beat max(z0, r/z0); the canonical choices x = z0 and
-    (inverted) x = r/z0 attain it.
+    The competitor is T(f_x(.)), T the real Mobius map vanishing at
+    c = f_x(z0).  Inverted, it is precomposed with z -> r/z, which swaps the
+    two boundary circles and so changes only c, to f_x(r/z0).  |T| = 1 on
+    the unit circle, the image of |z| = 1, and on the slit circle |w| = x
+    < 1, which holds the image of |z| = r, |T(w)| is monotone in Re w; so
+    `_slit_dist` gives the least value in closed form.  No competitor can
+    beat max(z0, r/z0); the canonical choices x = z0 and (inverted)
+    x = r/z0 give c = 0 and attain it exactly.
     """
     m = AnnulusModulus(r, trunc_tol)
     if not r < z0 < 1.0:
         raise DomainError("z0 must lie in (r, 1)")
     p = SlitMapParams(m, x)
     base = r / z0 if inverted else z0
-    c = float(np.real(f_eval(p, base)))
-    t = MobiusReal(c)
-    ring = _unit_ring(COMPETITOR_SAMPLES)
-    vals = mobius_apply(t, f_eval(p, np.concatenate([ring, r * ring])))
-    return float(np.abs(vals).min())
+    return _slit_dist(p, MobiusReal(float(np.real(f_eval(p, base)))))

@@ -13,6 +13,8 @@ The recentred comparison map phi_x = T_x o f_x o f_{x0}^{-1}, with T_x the
 real Mobius map vanishing at f_x(x0), lives here as `_Phi`; `q_of`,
 `phi_eval` and `slit_dist_after_mobius` read single values from it, and the
 certify pipeline in `counterexample` builds one per candidate x.
+`_slit_dist` gives the distance from 0 to T(slit) for any real Mobius map T,
+for `_Phi` and for `potential.competitor_boundary_dist`.
 
 Public functions check their arguments once per call; private helpers
 expect checked points.  f_x is the ratio of two prime functions, but their
@@ -596,6 +598,23 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
     return SlitArc(radius=abs(endpoint), endpoint_plus=endpoint, preimage_theta=root)
 
 
+def _slit_dist(p: SlitMapParams, t: MobiusReal) -> float:
+    """min |T(w)| over the slit of f_x: the distance from 0 to T(slit).
+
+    On the circle |w| = x, with u = Re w, |T(w)|^2 = (x^2 - 2cu + c^2) /
+    (1 - 2cu + c^2 x^2) has u-derivative -2c (1 - x^2)(1 - c^2) over the
+    squared denominator, so |T| falls as Re w grows when c > 0 and rises
+    when c < 0.  The slit is an arc of |w| = x, symmetric in the real axis,
+    through f_x(r) = -x.  So for c > 0 the minimum is |T| at its endpoints,
+    whose images have equal modulus, and for c <= 0 it is |T(-x)| =
+    |x + c|/(1 + c x), which needs no `slit_endpoint`.
+    """
+    c = t.c
+    if c > 0.0:
+        return abs(mobius_apply(t, slit_endpoint(p).endpoint_plus))
+    return abs(p.x + c) / (1.0 + c * p.x)
+
+
 class _Phi:
     """The recentred comparison map phi_x = T_x o f_x o f_{x0}^{-1}.
 
@@ -619,13 +638,12 @@ class _Phi:
         return mobius_apply(self.mob, -self.px.x)
 
     def slit_dist(self) -> float:
-        """Distance from 0 to the recentred slit, |T_x| at a slit endpoint.
+        """Distance from 0 to the recentred slit, by `_slit_dist`.
 
-        On the circle |w| = x the modulus |T_x(w)| is strictly decreasing in
-        Re w when the coefficient is positive, so the minimum over the slit
-        is attained at its endpoints, whose images have equal modulus.
+        For x < x0 the coefficient c = f_x(x0) is positive and the distance
+        is |T_x| at a slit endpoint; for x = x0, c = 0 and it is x.
         """
-        return abs(mobius_apply(self.mob, slit_endpoint(self.px).endpoint_plus))
+        return _slit_dist(self.px, self.mob)
 
     def slope_at_zero(self) -> float:
         """phi_x'(0) = f_x'(x0) / ((1 - c^2) f_{x0}'(x0)), for x < x0.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slitkit import potential
+from slitkit import potential, slitmap
 from slitkit.errors import DomainError, SingularMatrixError
 from slitkit.potential import (
     POTENTIAL_CHUNK_PAIRS,
@@ -22,6 +22,8 @@ from slitkit.potential import (
     uniform_arc_measure,
     uniform_circle_measure,
 )
+from slitkit.prime import AnnulusModulus
+from slitkit.slitmap import MobiusReal, SlitMapParams, f_eval, mobius_apply
 
 
 class TestMeasures:
@@ -236,13 +238,71 @@ class TestBounds:
 
 
 class TestCompetitor:
+    @staticmethod
+    def _cases(r):
+        """(x, z0, inverted, base) with c = f_x(base) > 0, < 0 and = 0 in
+        both orientations, base = z0 or r/z0."""
+        z0 = r + 0.6 * (1.0 - r)
+        for inverted in (False, True):
+            base = r / z0 if inverted else z0
+            for x in (r + 0.5 * (base - r), base + 0.5 * (1.0 - base), base):
+                yield x, z0, inverted, base
+
+    @staticmethod
+    def _image_modulus(r, x, base, z):
+        p = SlitMapParams(AnnulusModulus(r), x)
+        t = MobiusReal(float(np.real(f_eval(p, base))))
+        return np.abs(mobius_apply(t, f_eval(p, z)))
+
+    @pytest.mark.parametrize("r", [0.05, 0.4, 0.9])
+    def test_matches_dense_sampling(self, r):
+        # The inner circle carries the minimum; the unit circle maps to |w| = 1.
+        theta = np.linspace(0.0, 2.0 * math.pi, 200001)
+        ring = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        for x, z0, inverted, base in self._cases(r):
+            d = competitor_boundary_dist(r, x, z0, inverted=inverted)
+            dense = self._image_modulus(r, x, base, r * np.exp(1j * theta)).min()
+            sampled = self._image_modulus(r, x, base, np.concatenate([ring, r * ring])).min()
+            assert abs(d - dense) < 1e-8
+            assert d <= sampled + 1e-12
+
+    def test_work_is_scalar_and_bounded(self, monkeypatch):
+        """One scalar f_x for c, and for c > 0 one slit_endpoint: no array
+        kernel call and at most 30 kernel evaluations."""
+        args = []
+
+        def recording(kernel):
+            def wrapped(p, z):
+                args.append(z)
+                return kernel(p, z)
+            return wrapped
+
+        monkeypatch.setattr(slitmap, "_fx", recording(slitmap._fx))
+        monkeypatch.setattr(slitmap, "_fx_log_deriv", recording(slitmap._fx_log_deriv))
+        for r in (0.05, 0.4, 0.9):
+            for z0 in r + (1.0 - r) * np.array([0.1, 0.5, 0.9]):
+                for x in r + (1.0 - r) * np.array([0.1, 0.3, 0.5, 0.7, 0.9]):
+                    for inverted in (False, True):
+                        args.clear()
+                        competitor_boundary_dist(r, float(x), float(z0), inverted=inverted)
+                        assert all(isinstance(z, (float, complex)) for z in args)
+                        n_calls = len(args)
+                        base = r / z0 if inverted else z0
+                        if base <= x:  # c <= 0: f_x(base) alone
+                            assert n_calls == 1
+                        else:
+                            args.clear()
+                            slitmap.slit_endpoint(SlitMapParams(AnnulusModulus(r), float(x)))
+                            assert n_calls == 1 + len(args)
+                        assert n_calls <= 30
+
     def test_never_beats_formula(self):
         r = 0.25
         rng = np.random.default_rng(33)
         for t in rng.uniform(0.3, 0.95, 3):
             s = squeezing_annulus(complex(t), r)
             for x in np.linspace(0.3, 0.95, 7):
-                assert competitor_boundary_dist(r, float(x), float(t)) <= s + 1e-8
+                assert competitor_boundary_dist(r, float(x), float(t)) <= s + 1e-12
 
     def test_canonical_parameters_attain(self):
         r = 0.25
@@ -250,4 +310,5 @@ class TestCompetitor:
             s = squeezing_annulus(complex(t), r)
             d1 = competitor_boundary_dist(r, t, t)
             d2 = competitor_boundary_dist(r, r / t, t, inverted=True)
-            assert abs(max(d1, d2) - s) < 1e-8
+            assert d1 == t and d2 == r / t
+            assert max(d1, d2) == s

@@ -3,11 +3,13 @@
 The degenerate stage works inside the unit disk slit along an arc of radius
 x0: it compares the identity embedding against the recentered slit map
 phi_x = T_x o f_x o f_{x0}^{-1} for x slightly below x0 (built by
-`slitmap._Phi`, once per candidate x), and certifies a
-parameter x_star together with an interval and a witness point zeta_star on
-which phi_{x_star} strictly loses against the identity.  A passing
-certificate pins down, with explicit margins, a configuration where the
-best slit-map competitor fails to realize the boundary distance at zeta_star.
+`slitmap._Phi`, once per candidate x).  One walk toward x0, in gaps x0 - x
+halving down to X_GRID_STEP, chooses a parameter x_star; the certificate
+holds it together with an interval of length at most epsilon = x0 - r/x0
+and a witness point zeta_star on which phi_{x_star} strictly loses against
+the identity.  A passing certificate pins down, with explicit margins, a
+configuration where the best slit-map competitor fails to realize the
+boundary distance at zeta_star.
 
 The non-degenerate stage thickens the puncture at zeta_star into families of
 m - 2 tiny closed arcs contained in disks of radius 1/n, producing genuinely
@@ -45,6 +47,8 @@ MARGIN_KEYS = (
     "r_over_x0_lt_zeta",
 )
 
+# The walk's finest gap x0 - x.
+X_GRID_STEP = 1e-3
 INTERIOR_GRID_POINTS = 1000
 BISECT_WIDTH = 1e-12
 ARC_SAMPLES = 512
@@ -54,16 +58,14 @@ ARC_SAMPLES = 512
 class CounterexampleConfig:
     """Parameters of one counterexample instance.
 
-    epsilon defaults to its largest admissible value x0 - r/x0.  The grid
-    steps control the search walk toward x0 and the scan resolution for the
-    comparison interval; tol is the margin every certified inequality must
-    clear.
+    xi_scan_step is the scan resolution for the comparison interval, and tol
+    is the margin every certified inequality must clear.  The interval's
+    length is capped by epsilon, which is not an input: it is the largest
+    admissible value x0 - r/x0.
     """
 
     r: float
     x0: float
-    epsilon: float | None = None
-    x_grid_step: float = 1e-3
     xi_scan_step: float = 1e-3
     tol: float = 1e-6
     n_list: tuple[int, ...] = (10, 20, 40, 80, 160)
@@ -71,21 +73,20 @@ class CounterexampleConfig:
     trunc_tol: float = DEFAULT_TRUNC_TOL
 
     def __post_init__(self) -> None:
+        # a string, None or a complex number would fail the comparisons
+        # below with a bare TypeError
+        for name in ("r", "x0", "xi_scan_step", "tol", "trunc_tol"):
+            if not isinstance(getattr(self, name), (int, float)):
+                raise DomainError(f"{name} must be a real number")
         if not (0.0 < self.r < 1.0):
             raise DomainError("r must lie in (0, 1)")
         if not (math.sqrt(self.r) < self.x0 < 1.0):
             raise DomainError("x0 must lie in (sqrt(r), 1)")
-        eps_max = self.x0 - self.r / self.x0
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", eps_max)
-        if not (0.0 < self.epsilon <= eps_max + 1e-15):
-            raise DomainError(f"epsilon must lie in (0, {eps_max}]")
         # nan fails every comparison, so test "finite and positive" as one.
-        steps = (self.x_grid_step, self.xi_scan_step)
-        if not all(math.isfinite(s) and s > 0.0 for s in steps):
-            raise DomainError("grid steps must be positive and finite")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise DomainError("tol must be positive and finite")
+        for name in ("xi_scan_step", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be positive and finite")
         n_list = tuple(int(n) for n in self.n_list)
         if not n_list or any(n <= 0 for n in n_list):
             raise DomainError("n_list must be nonempty positive integers")
@@ -97,6 +98,11 @@ class CounterexampleConfig:
         # AnnulusModulus checks trunc_tol and r, which it rejects from about
         # 0.998497 on, where the head normalisation overflows.
         self.modulus()
+
+    @property
+    def epsilon(self) -> float:
+        """Largest admissible interval length x0 - r/x0, positive for x0 > sqrt(r)."""
+        return self.x0 - self.r / self.x0
 
     def modulus(self, trunc_tol: float | None = None) -> AnnulusModulus:
         return AnnulusModulus(self.r, self.trunc_tol if trunc_tol is None else trunc_tol)
@@ -152,7 +158,9 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
 
 @dataclass(frozen=True)
 class _Candidate:
-    x: float
+    """phi_x for one x of the walk, with its interval and interval margins."""
+
+    phi: _Phi
     delta: float
     dist_gamma: float
     margin_i: float
@@ -171,22 +179,35 @@ def _interior_margin(phi: _Phi, x0: float, delta: float) -> float:
     return float(np.min(grid - vals))
 
 
+def _candidate(phi: _Phi, delta: float) -> _Candidate:
+    """dist_gamma and both Lemma 6.1 margins of phi on (-x0, -x0 + delta)."""
+    x0 = phi.p0.x
+    dist_gamma = phi.slit_dist()
+    return _Candidate(
+        phi=phi,
+        delta=delta,
+        dist_gamma=dist_gamma,
+        margin_i=_interior_margin(phi, x0, delta),
+        margin_ii=dist_gamma - (x0 - delta),
+    )
+
+
 def _estimate_lipschitz(cfg: CounterexampleConfig, modulus: AnnulusModulus,
                         gaps: list[float]) -> float:
     """Difference-quotient bound for x -> dist(0, Gamma(x)) near x0.
 
     Uses the grid points of the final decade of the walk (gaps within a
-    factor 10 of x_grid_step) and doubles the worst observed quotient.
+    factor 10 of X_GRID_STEP) and doubles the worst observed quotient.
+    The walk is not empty, so every gap is at most (x0 - r)/2 and every x
+    is above r.
     """
-    lo, hi = cfg.x_grid_step, 10.0 * cfg.x_grid_step
+    lo, hi = X_GRID_STEP, 10.0 * X_GRID_STEP
     sample_gaps = sorted(g for g in gaps if lo <= g <= hi)
     if len(sample_gaps) < 3:
         sample_gaps = list(np.geomspace(lo, min(hi, (cfg.x0 - cfg.r) / 2.0), 4))
     pts = [(cfg.x0, cfg.x0)]
     for g in sample_gaps:
         x = cfg.x0 - g
-        if x <= cfg.r:
-            continue
         pts.append((x, _Phi(x, cfg.x0, modulus).slit_dist()))
     pts.sort()
     worst = 0.0
@@ -195,68 +216,38 @@ def _estimate_lipschitz(cfg: CounterexampleConfig, modulus: AnnulusModulus,
     return 2.0 * worst
 
 
-def _walk_candidates(cfg: CounterexampleConfig):
-    """Yield evaluated candidates walking x upward toward x0.
+def _choose_candidate(cfg: CounterexampleConfig) -> _Candidate | None:
+    """First candidate of the walk toward x0 whose interval margins both clear tol.
 
-    The walk uses gaps (x0 - r) / 2^j down to x_grid_step, a geometric
+    The walk uses gaps (x0 - r) / 2^j down to X_GRID_STEP, a geometric
     approach to x0.  Candidates failing the q precondition or the Lipschitz
-    gate are skipped silently; all others come out with their margins.
+    gate are skipped.  When no candidate qualifies, the one with the best
+    weakest margin is returned, or None for an empty walk.
     """
     modulus = cfg.modulus()
     gaps = []
     g = (cfg.x0 - cfg.r) / 2.0
-    while g >= cfg.x_grid_step:
+    while g >= X_GRID_STEP:
         gaps.append(g)
         g /= 2.0
+    if not gaps:
+        return None
     lipschitz = _estimate_lipschitz(cfg, modulus, gaps)
+    best = None
     for g in gaps:
         x = cfg.x0 - g
-        if x <= cfg.r:
-            continue
         phi = _Phi(x, cfg.x0, modulus)
         if phi.q >= -cfg.x0:
             continue
         delta = min(cfg.epsilon, delta_of(x, cfg))
         if lipschitz * g > delta:
             continue
-        dist_gamma = phi.slit_dist()
-        yield _Candidate(
-            x=x,
-            delta=delta,
-            dist_gamma=dist_gamma,
-            margin_i=_interior_margin(phi, cfg.x0, delta),
-            margin_ii=dist_gamma - (cfg.x0 - delta),
-        )
-
-
-def _choose_candidate(cfg: CounterexampleConfig) -> tuple[_Candidate | None, bool]:
-    """First walk candidate whose interval margins both clear tol.
-
-    Returns (candidate, True) for it, or, when the walk finds none, the
-    candidate with the best weakest margin (None for an empty walk) and False.
-    """
-    best = None
-    for cand in _walk_candidates(cfg):
+        cand = _candidate(phi, delta)
         if cand.margin_i > cfg.tol and cand.margin_ii > cfg.tol:
-            return cand, True
+            return cand
         if best is None or cand.weakest > best.weakest:
             best = cand
-    return best, False
-
-
-def search_x_star(cfg: CounterexampleConfig) -> tuple[float, float]:
-    """First x on the walk where both certified interval conditions clear tol.
-
-    Returns (x_star, delta) with delta = min(epsilon, delta_of(x_star)).
-    Raises ConvergenceError when the grid is exhausted, which signals steps
-    too coarse rather than nonexistence.
-    """
-    cand, qualified = _choose_candidate(cfg)
-    if not qualified:
-        raise ConvergenceError(
-            "search grid exhausted without a qualifying x; refine x_grid_step"
-        )
-    return cand.x, cand.delta
+    return best
 
 
 @dataclass(frozen=True)
@@ -324,27 +315,16 @@ def _select_zeta(x0: float, delta: float, dist_gamma: float, tol: float) -> floa
     return zeta
 
 
-def _certificate(
-    cfg: CounterexampleConfig,
-    x_star: float,
-    delta: float,
-    zeta_star: float,
-    modulus: AnnulusModulus,
-    margin_i: float | None = None,
-    dist_gamma: float | None = None,
-) -> Certificate:
-    """Certificate for a fixed witness; grid quantities recomputed on demand."""
-    phi = _Phi(x_star, cfg.x0, modulus)
-    if dist_gamma is None:
-        dist_gamma = phi.slit_dist()
-    if margin_i is None:
-        margin_i = _interior_margin(phi, cfg.x0, delta)
+def _certificate(cfg: CounterexampleConfig, cand: _Candidate,
+                 zeta_star: float) -> Certificate:
+    """Certificate for the witness zeta_star of an evaluated candidate."""
+    phi = cand.phi
     phi_at_zeta = float(phi.solve(np.array([zeta_star]))[0][0])
     margins = {
-        "lemma61_i": margin_i,
-        "lemma61_ii": dist_gamma - (cfg.x0 - delta),
+        "lemma61_i": cand.margin_i,
+        "lemma61_ii": cand.margin_ii,
         "phi_gt_zeta": abs(phi_at_zeta) - abs(zeta_star),
-        "dist_gt_zeta": dist_gamma - abs(zeta_star),
+        "dist_gt_zeta": cand.dist_gamma - abs(zeta_star),
         "r_over_x0_lt_zeta": abs(zeta_star) - cfg.r / cfg.x0,
     }
     return Certificate(
@@ -352,14 +332,14 @@ def _certificate(
         x0=cfg.x0,
         epsilon=cfg.epsilon,
         tol=cfg.tol,
-        x_star=x_star,
-        delta=delta,
+        x_star=phi.px.x,
+        delta=cand.delta,
         zeta_star=zeta_star,
         q_at_xstar=phi.q,
-        dist_gamma=dist_gamma,
+        dist_gamma=cand.dist_gamma,
         phi_at_zeta=phi_at_zeta,
         margins=margins,
-        truncation_report=_truncation_report(cfg, x_star, modulus),
+        truncation_report=_truncation_report(cfg, phi.px.x, phi.p0.modulus),
         passed=all(margins[k] > cfg.tol for k in MARGIN_KEYS),
     )
 
@@ -372,16 +352,11 @@ def certify_degenerate(cfg: CounterexampleConfig) -> Certificate:
     weakest margin is certified anyway; its margins document the failure and
     passed comes out false.
     """
-    chosen, _ = _choose_candidate(cfg)
+    chosen = _choose_candidate(cfg)
     if chosen is None:
-        raise ConvergenceError(
-            "no admissible candidate on the search grid; refine x_grid_step"
-        )
+        raise ConvergenceError("no admissible candidate on the search walk toward x0")
     zeta = _select_zeta(cfg.x0, chosen.delta, chosen.dist_gamma, cfg.tol)
-    return _certificate(
-        cfg, chosen.x, chosen.delta, zeta, cfg.modulus(),
-        margin_i=chosen.margin_i, dist_gamma=chosen.dist_gamma,
-    )
+    return _certificate(cfg, chosen, zeta)
 
 
 def revalidate_certificate(
@@ -393,9 +368,8 @@ def revalidate_certificate(
     are redone.  Drift of the margins under tightened truncation measures
     how far the certificate is from the infinite product.
     """
-    return _certificate(
-        cfg, cert.x_star, cert.delta, cert.zeta_star, cfg.modulus(trunc_tol)
-    )
+    phi = _Phi(cert.x_star, cfg.x0, cfg.modulus(trunc_tol))
+    return _certificate(cfg, _candidate(phi, cert.delta), cert.zeta_star)
 
 
 # Field order of the certificate JSON document.

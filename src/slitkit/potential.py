@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .prime import DEFAULT_TRUNC_TOL, AnnulusModulus
+from .prime import AnnulusModulus
 from .slitmap import MobiusReal, SlitMapParams, _slit_dist, f_eval
 
 NODE_CLEARANCE = 1e-12
@@ -264,7 +264,6 @@ def competitor_boundary_dist(
     r: float,
     x: float,
     z0: float,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
     inverted: bool = False,
 ) -> float:
     """dist(0, boundary image) for one normalized competitor map.
@@ -278,7 +277,7 @@ def competitor_boundary_dist(
     beat max(z0, r/z0); the canonical choices x = z0 and (inverted)
     x = r/z0 give c = 0 and attain it exactly.
     """
-    m = AnnulusModulus(r, trunc_tol)
+    m = AnnulusModulus(r)
     if not r < z0 < 1.0:
         raise DomainError("z0 must lie in (r, 1)")
     p = SlitMapParams(m, x)

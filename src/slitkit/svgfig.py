@@ -137,16 +137,6 @@ def _polylines(curves, cy: float, scale: float) -> list[str]:
     return lines
 
 
-def _polyline(pts: np.ndarray, cx: float, cy: float, scale: float,
-              stroke: str, width: float, cls: str) -> str:
-    """One curve's <polyline>: _polylines with one curve.
-
-    Its points are written by the same exact one-pass formatter as a whole
-    figure's, so they are the text "%.2f" % v gives, ties included.
-    """
-    return _polylines([(pts, cx, stroke, width, cls)], cy, scale)[0]
-
-
 def _circle_pts(radius: float, n: int = CIRCLE_SAMPLES) -> np.ndarray:
     theta = np.linspace(0.0, 2.0 * math.pi, n)
     return radius * np.exp(1j * theta)

@@ -11,7 +11,7 @@ from slitkit import cli, svgfig
 from slitkit.errors import DomainError
 from slitkit.prime import AnnulusModulus, truncation_error_bound
 from slitkit.slitmap import SlitMapParams, f_eval
-from slitkit.svgfig import _polyline, plot_map
+from slitkit.svgfig import _polylines, plot_map
 
 
 def run_cli(capsys, argv):
@@ -246,13 +246,13 @@ class TestPlot:
         xs = cx + scale * np.real(pts)
         ys = cy - scale * np.imag(pts)
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-        line = _polyline(pts, cx, cy, scale, "#123456", 1.5, "c")
+        line = _polylines([(pts, cx, "#123456", 1.5, "c")], cy, scale)[0]
         assert "-0.00," in coords and ",-0.00" in coords
         assert line == (
             f'<polyline class="c" fill="none" stroke="#123456" '
             f'stroke-width="1.5" points="{coords}"/>'
         )
-        assert 'points=""' in _polyline(pts[:0], cx, cy, scale, "#123456", 1.5, "c")
+        assert 'points=""' in _polylines([(pts[:0], cx, "#123456", 1.5, "c")], cy, scale)[0]
 
     def test_grid_images_come_from_one_f_eval(self, monkeypatch):
         calls = []
@@ -274,7 +274,8 @@ class TestPlot:
         cx = svgfig.PANEL_SIZE + svgfig.PANEL_GAP + half
         lines = [line for line in doc.splitlines() if 'class="grid-image"' in line]
         assert lines == [
-            _polyline(f_eval(p, c), cx, half, half - svgfig.MARGIN, "#7799bb", 1.0, "grid-image")
+            _polylines([(f_eval(p, c), cx, "#7799bb", 1.0, "grid-image")], half,
+                       half - svgfig.MARGIN)[0]
             for c in curves
         ]
 

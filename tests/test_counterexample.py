@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -19,7 +20,6 @@ from slitkit.counterexample import (
     make_shrinking_arcs,
     nondegenerate_evidence,
     revalidate_certificate,
-    search_x_star,
 )
 from slitkit.errors import ConvergenceError, DomainError, GeometryError
 from slitkit.slitmap import phi_eval
@@ -28,6 +28,10 @@ GOLDEN_X_STAR = 0.73125
 GOLDEN_DELTA = 0.4875
 GOLDEN_ZETA = -0.55625
 GOLDEN_DIST_GAMMA = 0.798503085935911
+# sha256 of the reference instance's certificate JSON and evidence CSV; the
+# CLI's `certify` and `evidence` output for --r 0.25 --x0 0.8 hash the same.
+CERTIFICATE_SHA256 = "903c27ae0ca8e1a577daabe63c2a6af2eb8466df8b26b0a246945e1e825e5b2d"
+EVIDENCE_SHA256 = "844822b3eb75bb5c0c02acf94d54e7a993dc59b213eb1abe7e71f2bac66ac342"
 GOLDEN_MARGINS = {
     "lemma61_i": 3.3478686500276744e-06,
     "lemma61_ii": 0.486003085935911,
@@ -40,15 +44,16 @@ GOLDEN_MARGINS = {
 class TestConfig:
     def test_epsilon_defaults_to_largest_admissible(self):
         cfg = CounterexampleConfig(r=0.25, x0=0.8)
-        assert abs(cfg.epsilon - (0.8 - 0.25 / 0.8)) < 1e-15
+        assert cfg.epsilon == cfg.x0 - cfg.r / cfg.x0
+
+    def test_fields(self):
+        # epsilon is derived, and the walk's finest gap is a module constant
+        assert [f.name for f in dataclasses.fields(CounterexampleConfig)] == [
+            "r", "x0", "xi_scan_step", "tol", "n_list", "m", "trunc_tol"]
 
     def test_rejects_x0_below_sqrt_r(self):
         with pytest.raises(DomainError):
             CounterexampleConfig(r=0.25, x0=0.5)
-
-    def test_rejects_oversized_epsilon(self):
-        with pytest.raises(DomainError):
-            CounterexampleConfig(r=0.25, x0=0.8, epsilon=0.6)
 
     def test_rejects_low_connectivity(self):
         with pytest.raises(DomainError):
@@ -58,13 +63,20 @@ class TestConfig:
         with pytest.raises(DomainError):
             CounterexampleConfig(r=0.25, x0=0.8, n_list=(10, 10))
 
-    @pytest.mark.parametrize("field", ["tol", "x_grid_step", "xi_scan_step"])
+    @pytest.mark.parametrize("field", ["tol", "xi_scan_step"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_nonfinite_steps_and_tol(self, field, value):
         # nan passed the old "<= 0" tests: tol = nan gave a failed certificate,
         # and the steps failed later with a bare ValueError or a point error.
         with pytest.raises(DomainError, match="finite"):
             CounterexampleConfig(r=0.25, x0=0.8, **{field: value})
+
+    @pytest.mark.parametrize("field", ["r", "x0", "tol", "xi_scan_step", "trunc_tol"])
+    @pytest.mark.parametrize("value", ["0.25", None, 0.25 + 0j])
+    def test_rejects_values_that_are_not_real_numbers(self, field, value):
+        # each used to fail a comparison with a bare TypeError
+        with pytest.raises(DomainError, match=f"{field} must be a real number"):
+            CounterexampleConfig(**{"r": 0.25, "x0": 0.8, field: value})
 
     @pytest.mark.parametrize("trunc_tol", [math.nan, 0.0, 1e-12])
     def test_rejects_truncation_the_product_cannot_meet(self, trunc_tol):
@@ -135,20 +147,6 @@ class TestDeltaOf:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
-class TestSearch:
-    def test_golden_pair(self, std_config):
-        x_star, delta = search_x_star(std_config)
-        assert x_star == pytest.approx(GOLDEN_X_STAR, abs=1e-12)
-        assert delta == pytest.approx(GOLDEN_DELTA, abs=1e-12)
-        assert delta == pytest.approx(min(std_config.epsilon, delta), abs=0)
-
-    def test_exhausted_grid_raises(self):
-        cfg = CounterexampleConfig(r=0.25, x0=0.8, tol=10.0, x_grid_step=0.2,
-                                   xi_scan_step=1e-2)
-        with pytest.raises(ConvergenceError):
-            search_x_star(cfg)
-
-
 class TestCertificate:
     def test_golden_witness(self, std_certificate):
         cert = std_certificate
@@ -160,6 +158,12 @@ class TestCertificate:
         for key in MARGIN_KEYS:
             assert cert.margins[key] == pytest.approx(GOLDEN_MARGINS[key], abs=1e-10)
         assert cert.truncation_report < 1e-11
+
+    def test_certify_and_evidence_bytes_are_pinned(self, std_config, std_certificate):
+        text = certificate_to_json(std_certificate)
+        assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256
+        csv = nondegenerate_evidence(std_config, std_certificate).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == EVIDENCE_SHA256
 
     def test_margin_inequalities_hold(self, std_config, std_certificate):
         cert = std_certificate
@@ -195,12 +199,19 @@ class TestCertificate:
             assert drift < 10.0 * std_config.tol
 
     def test_forced_failure_still_reports(self):
-        cfg = CounterexampleConfig(r=0.25, x0=0.8, tol=10.0, x_grid_step=0.2,
-                                   xi_scan_step=1e-2)
+        cfg = CounterexampleConfig(r=0.25, x0=0.8, tol=10.0, xi_scan_step=1e-2)
         cert = certify_degenerate(cfg)
         assert not cert.passed
         assert set(cert.margins) == set(MARGIN_KEYS)
         assert -cfg.x0 < cert.zeta_star < -cfg.x0 + cert.delta
+
+    def test_empty_walk_raises(self):
+        # x0 - r = 8.5e-4 leaves no gap (x0 - r)/2^j of at least X_GRID_STEP,
+        # and x0 - X_GRID_STEP lies below r, where no phi_x exists
+        cfg = CounterexampleConfig(r=0.9984, x0=0.99925)
+        assert cfg.x0 - counterexample.X_GRID_STEP < cfg.r
+        with pytest.raises(ConvergenceError):
+            certify_degenerate(cfg)
 
     def test_boundary_of_validity_instance(self):
         cfg = CounterexampleConfig(r=0.49, x0=0.71)

@@ -5,7 +5,7 @@ import pytest
 
 from slitkit import svgfig
 from slitkit.errors import DomainError
-from slitkit.svgfig import _polyline, _polylines, _tokens, plot_map
+from slitkit.svgfig import _polylines, _tokens, plot_map
 
 
 def formatted(values) -> str:
@@ -54,20 +54,20 @@ class TestFormatter:
             formatted([0.5, bad])
         pts = np.array([0.5 + 0.5j, complex(bad, 0.0)])
         with pytest.raises(DomainError):
-            _polyline(pts, 0.0, 0.0, 1.0, "#000000", 1.0, "c")
+            _polylines([(pts, 0.0, "#000000", 1.0, "c")], 0.0, 1.0)
 
 
 class TestPolylines:
     def test_empty_curve(self):
-        assert 'points=""' in _polyline(np.empty(0, complex), 0.0, 0.0, 1.0, "#000000", 1.0, "c")
+        empty = (np.empty(0, complex), 0.0, "#000000", 1.0, "c")
+        assert 'points=""' in _polylines([empty], 0.0, 1.0)[0]
         rng = np.random.default_rng(3)
         a = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
         b = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
         curves = [(a, 5.0, "#111111", 1.0, "a"), (a[:0], 6.0, "#222222", 2.0, "e"),
                   (b, 7.0, "#333333", 3.0, "b"), (b[:0], 8.0, "#444444", 4.0, "e")]
         assert _polylines(curves, 2.0, 100.0) == [
-            _polyline(pts, cx, 2.0, 100.0, stroke, width, cls)
-            for pts, cx, stroke, width, cls in curves
+            _polylines([curve], 2.0, 100.0)[0] for curve in curves
         ]
 
     def test_blocks_do_not_change_the_text(self, monkeypatch):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .counterexample import (
@@ -32,8 +31,6 @@ from .svgfig import plot_map
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAILED_CERT = 2
-
-ENV_TRUNC_TOL = "SLITKIT_TRUNC_TOL"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,18 +63,6 @@ def _n_list_arg(text: str) -> tuple[int, ...]:
     return values
 
 
-def _resolve_trunc_tol(value: float | None) -> float:
-    if value is not None:
-        return value
-    env = os.environ.get(ENV_TRUNC_TOL)
-    if env is None:
-        return DEFAULT_TRUNC_TOL
-    try:
-        return float(env)
-    except ValueError as exc:
-        raise SlitkitError(f"{ENV_TRUNC_TOL} is not a number: {env!r}") from exc
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -104,9 +89,9 @@ def _print_complex(value: complex, fmt: str, out: str | None) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--trunc-tol", type=float, default=None,
+    common.add_argument("--trunc-tol", type=float, default=DEFAULT_TRUNC_TOL,
                         help="bound on the prime function's relative truncation "
-                             f"error (default ${ENV_TRUNC_TOL} or {DEFAULT_TRUNC_TOL})")
+                             f"error (default {DEFAULT_TRUNC_TOL})")
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--format", default="text", choices=("text", "json"),
                         help="scalar output format")
@@ -160,13 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
-    trunc_tol = _resolve_trunc_tol(args.trunc_tol)
     if args.subcommand == "prime":
-        w = prime_omega(args.z, args.a, AnnulusModulus(args.r, trunc_tol))
+        w = prime_omega(args.z, args.a, AnnulusModulus(args.r, args.trunc_tol))
         _print_complex(complex(w), args.format, args.out)
         return EXIT_OK
     if args.subcommand == "map":
-        params = SlitMapParams(AnnulusModulus(args.r, trunc_tol), args.x)
+        params = SlitMapParams(AnnulusModulus(args.r, args.trunc_tol), args.x)
         _print_complex(complex(f_eval(params, args.z)), args.format, args.out)
         return EXIT_OK
     if args.subcommand == "squeeze":
@@ -179,14 +163,14 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.subcommand == "certify":
         cfg = CounterexampleConfig(r=args.r, x0=args.x0, tol=args.tol,
-                                   trunc_tol=trunc_tol)
+                                   trunc_tol=args.trunc_tol)
         cert = certify_degenerate(cfg)
         _emit(certificate_to_json(cert), args.out)
         return EXIT_OK if cert.passed else EXIT_FAILED_CERT
     if args.subcommand == "evidence":
         cfg = CounterexampleConfig(r=args.r, x0=args.x0, tol=args.tol,
                                    n_list=args.n_list, m=args.m,
-                                   trunc_tol=trunc_tol)
+                                   trunc_tol=args.trunc_tol)
         cert = certify_degenerate(cfg)
         if not cert.passed:
             sys.stderr.write("certificate failed; no evidence table emitted\n")
@@ -196,7 +180,7 @@ def _run(args: argparse.Namespace) -> int:
         _emit(table.to_csv(), args.out)
         return EXIT_OK
     if args.subcommand == "plot":
-        doc = plot_map(args.r, args.x, trunc_tol=trunc_tol)
+        doc = plot_map(args.r, args.x, trunc_tol=args.trunc_tol)
         _emit(doc, args.out)
         return EXIT_OK
     raise SlitkitError(f"unknown subcommand {args.subcommand!r}")

@@ -16,14 +16,16 @@ m - 2 tiny closed arcs contained in disks of radius 1/n, producing genuinely
 m-connected domains, and tabulates the quantities that control the limit:
 boundary distances before and after the map, an equilibrium-mass bound for
 the shrinking arcs, and the induced harmonic measure bound at the origin.
+The family at level n is two arrays, from `_shrinking_arcs`: its radii and
+ARC_SAMPLES points on each arc.
 
 No stage marches along the real segment.  Every phi_x value comes from one
 `_Phi.solve` call, one array Newton, per grid (the scan of `delta_of`, the
 interior margin, the witness value phi_x(zeta_star)) or per evidence table
 (every arc of every n).  No stage runs a scalar Newton solve: `delta_of`
 refines its crossing in the preimage under f_{x0}, where each step of
-`slitmap._bracket_root` is two forward maps, and the slit endpoint uses the
-same root finder.
+`slitmap._bracket_root` is two evaluations of the unguarded kernel `_fx`,
+and the slit endpoint uses the same root finder.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, GeometryError
 from .potential import harmonic_measure_upper_bound, shrink_mass_bound
 from .prime import DEFAULT_TRUNC_TOL, AnnulusModulus, truncation_error_bound
-from .slitmap import SlitMapParams, _bracket_root, _Phi, f_eval, slit_endpoint
+from .slitmap import _bracket_root, _fx, _Phi, f_eval, mobius_apply, slit_endpoint
 
 MARGIN_KEYS = (
     "lemma61_i",
@@ -149,8 +151,12 @@ def delta_of(x: float, cfg: CounterexampleConfig) -> float:
     # BISECT_WIDTH in xi, carried to z by the gap's secant slope.
     width = BISECT_WIDTH * (z_hi - z_lo) / (hi - lo)
 
+    # g runs the unguarded kernel `_fx`.  The bracket ends are scan
+    # preimages that `solve` and psi have already evaluated with the guard,
+    # and [z_lo, z_hi] lies in [r, x0], inside the annuli of holomorphy of
+    # both f_x and f_{x0}, where neither has a pole.
     def g(z: float) -> float:
-        return float(phi(z) - f_eval(phi.p0, z))
+        return float(mobius_apply(phi.mob, _fx(phi.px, z)) - _fx(phi.p0, z))
 
     z = _bracket_root(g, z_lo, z_hi, float(psi[i - 1]), psi_hi, width)
     return float(f_eval(phi.p0, z)) + x0
@@ -396,39 +402,6 @@ def certificate_from_json(text: str) -> Certificate:
     return Certificate(**fields)
 
 
-@dataclass(frozen=True)
-class CircularArc:
-    """Closed arc of an origin-centered circle, theta_min <= theta <= theta_max."""
-
-    radius: float
-    theta_min: float
-    theta_max: float
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0.0 or not math.isfinite(self.radius):
-            raise DomainError("arc radius must be positive")
-        if not self.theta_min < self.theta_max:
-            raise DomainError("arc must be non-degenerate")
-
-    def sample(self, n: int) -> np.ndarray:
-        theta = np.linspace(self.theta_min, self.theta_max, n)
-        return self.radius * np.exp(1j * theta)
-
-
-@dataclass(frozen=True)
-class ArcFamily:
-    """The m - 2 disjoint closed arcs that thicken the puncture at level n."""
-
-    center: float
-    n: int
-    arcs: tuple[CircularArc, ...]
-
-    def __post_init__(self) -> None:
-        radii = [a.radius for a in self.arcs]
-        if len(set(radii)) != len(radii):
-            raise GeometryError("arc radii must be pairwise distinct")
-
-
 def _point_to_arc_dist(pts: np.ndarray, radius: float,
                        theta_min: float, theta_max: float) -> np.ndarray:
     """Distance from points to a closed arc of an origin-centered circle."""
@@ -442,23 +415,18 @@ def _point_to_arc_dist(pts: np.ndarray, radius: float,
     return np.where(inside, radial, corner)
 
 
-def make_shrinking_arcs(cfg: CounterexampleConfig, zeta_star: float, n: int) -> ArcFamily:
-    """Arc family at level n: m - 2 arcs on circles hugging |zeta_star|.
-
-    Radii are offset from |zeta_star| by j/(2 n (m-1)) with alternating sign
-    and the angular width of every arc is 1/(4 n |zeta_star|), centered on
-    the ray through zeta_star.  Everything must fit inside the disk of
-    radius 1/n around zeta_star, which itself must clear both the slit of
-    the reference map and the unit circle.
-    """
-    arc0 = slit_endpoint(SlitMapParams(cfg.modulus(), cfg.x0))
-    theta_a = math.atan2(arc0.endpoint_plus.imag, arc0.endpoint_plus.real)
-    return _shrinking_arcs(cfg, zeta_star, n, theta_a)
-
-
 def _shrinking_arcs(cfg: CounterexampleConfig, zeta_star: float, n: int,
-                    theta_a: float) -> ArcFamily:
-    """`make_shrinking_arcs` for a reference slit whose upper endpoint has angle theta_a."""
+                    theta_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arc family at level n: the m - 2 arcs that thicken the puncture at zeta_star.
+
+    Returns the radii, shape (m - 2,), and ARC_SAMPLES points on each arc,
+    shape (m - 2, ARC_SAMPLES).  Radii are offset from |zeta_star| by
+    j/(2 n (m-1)) with alternating sign, so they are pairwise distinct, and
+    every arc has angular width 1/(4 n |zeta_star|), centered on the ray
+    through zeta_star.  Everything must fit inside the disk of radius 1/n
+    around zeta_star, which itself must clear the unit circle and the slit
+    of the reference map, whose upper endpoint has angle theta_a.
+    """
     if n < 1:
         raise DomainError("n must be a positive integer")
     if not (math.isfinite(zeta_star) and -cfg.x0 < zeta_star < 0.0):
@@ -478,25 +446,16 @@ def _shrinking_arcs(cfg: CounterexampleConfig, zeta_star: float, n: int,
                 f"disk of radius 1/n around zeta_star reaches the {boundary} at "
                 f"n = {n}; it clears the slit and the unit circle from n = {least}"
             )
-    width = 1.0 / (4.0 * n * az)
-    arcs = []
-    for j in range(1, cfg.m - 1):
-        sign = 1.0 if j % 2 else -1.0
-        rho = az + sign * j / (2.0 * n * (cfg.m - 1))
-        arcs.append(
-            CircularArc(
-                radius=rho,
-                theta_min=math.pi - 0.5 * width,
-                theta_max=math.pi + 0.5 * width,
-            )
-        )
-    for arc in arcs:
-        corners = arc.radius * np.exp(
-            1j * np.array([arc.theta_min, arc.theta_max])
-        )
-        if np.abs(corners - zeta_star).max() >= clearance:
-            raise GeometryError("arc family does not fit inside the 1/n disk")
-    return ArcFamily(center=zeta_star, n=n, arcs=tuple(arcs))
+    j = np.arange(1, cfg.m - 1)
+    radii = az + np.where(j % 2, 1.0, -1.0) * j / (2.0 * n * (cfg.m - 1))
+    if radii.min() <= 0.0:
+        raise DomainError("arc radius must be positive")
+    half_width = 1.0 / (8.0 * n * az)
+    theta = np.linspace(math.pi - half_width, math.pi + half_width, ARC_SAMPLES)
+    samples = radii[:, None] * np.exp(1j * theta)
+    if np.abs(samples[:, [0, -1]] - zeta_star).max() >= clearance:
+        raise GeometryError("arc family does not fit inside the 1/n disk")
+    return radii, samples
 
 
 @dataclass(frozen=True)
@@ -528,14 +487,14 @@ class EvidenceTable:
         return "\n".join(lines) + "\n"
 
 
-def _family_diameter(arc_samples: list[np.ndarray]) -> float:
+def _family_diameter(samples: np.ndarray) -> float:
     """Largest distance between samples of arcs that share one angular window.
 
     |rho e^{ia} - sigma e^{ib}|^2 = rho^2 + sigma^2 - 2 rho sigma cos(a - b)
     grows with |a - b| < pi, and the window is narrower than pi, so the
-    farthest pair of samples is a pair of arc endpoints.
+    farthest pair of samples is a pair of arc endpoints, samples[:, [0, -1]].
     """
-    ends = np.array([end for pts in arc_samples for end in (pts[0], pts[-1])])
+    ends = samples[:, [0, -1]].ravel()
     return float(np.abs(ends[:, None] - ends[None, :]).max())
 
 
@@ -554,16 +513,17 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
     arc0 = slit_endpoint(phi.p0)
     theta_a = math.atan2(arc0.endpoint_plus.imag, arc0.endpoint_plus.real)
     degenerate_value = min(abs(cert.phi_at_zeta), cert.dist_gamma)
-    families = [_shrinking_arcs(cfg, cert.zeta_star, n, theta_a) for n in cfg.n_list]
+    levels = [_shrinking_arcs(cfg, cert.zeta_star, n, theta_a) for n in cfg.n_list]
+    least_radius = [float(radii.min()) for radii, _ in levels]
     # samples[k, j] is arc j of the family at level n_list[k]; every arc of
     # every level is mapped by one Newton call.
-    samples = np.array([[arc.sample(ARC_SAMPLES) for arc in fam.arcs] for fam in families])
+    samples = np.array([pts for _, pts in levels])
     min_abs_phi = np.abs(phi.solve(samples.ravel())[0]).reshape(samples.shape).min(axis=(1, 2))
     rows = []
     fitted_c = 0.0
     n_min = None
-    for n, fam, arc_pts, min_abs in zip(cfg.n_list, families, samples, min_abs_phi):
-        dist_boundary = min(cfg.x0, min(a.radius for a in fam.arcs))
+    for n, rho, arc_pts, min_abs in zip(cfg.n_list, least_radius, samples, min_abs_phi):
+        dist_boundary = min(cfg.x0, rho)
         dist_phi_image = min(cert.dist_gamma, 1.0, float(min_abs))
         margin = dist_phi_image - dist_boundary
         diam = _family_diameter(arc_pts)
@@ -576,7 +536,7 @@ def nondegenerate_evidence(cfg: CounterexampleConfig, cert: Certificate) -> Evid
         )
         cn = shrink_mass_bound(dist_p0, diam)
         hm = harmonic_measure_upper_bound(
-            dist_z_pn=float(min(a.radius for a in fam.arcs)),
+            dist_z_pn=rho,
             maxdist_z_p0=1.0,
             cn_bound=cn,
         )

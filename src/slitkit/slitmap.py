@@ -173,10 +173,6 @@ def mobius_apply(t: MobiusReal, z):
     return (z - t.c) / (1.0 - t.c * z)
 
 
-def mobius_inverse(t: MobiusReal) -> MobiusReal:
-    return MobiusReal(-t.c)
-
-
 def _check_extended_annulus(p: SlitMapParams, z) -> None:
     mag = np.abs(z)
     lo = p.inner_extension * (1.0 - 1e-12)

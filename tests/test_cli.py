@@ -114,12 +114,6 @@ class TestErrorPaths:
             cli.main(["squeeze", "--r", "0.25", "--z", "banana"])
         assert exc.value.code == 1
 
-    def test_bad_env_tolerance_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_TRUNC_TOL, "not-a-number")
-        code, _, err = run_cli(capsys, ["squeeze", "--r", "0.25", "--z", "0.5,0"])
-        assert code == 1
-        assert cli.ENV_TRUNC_TOL in err
-
     @pytest.mark.parametrize("r, x, z", [
         ("0.99836", "0.9992", "0.9988,0.01"),
         ("0.9984", "0.9992", "0.9988,0.01"),
@@ -176,22 +170,13 @@ class TestErrorPaths:
 
 
 class TestDefaults:
-    def test_env_truncation_override(self, capsys, monkeypatch):
-        _, exact, _ = run_cli(capsys, ["map", "--r", "0.5", "--x", "0.75", "--z", "0.6,0.2"])
-        monkeypatch.setenv(cli.ENV_TRUNC_TOL, "1e-4")
-        _, coarse, _ = run_cli(capsys, ["map", "--r", "0.5", "--x", "0.75", "--z", "0.6,0.2"])
+    def test_truncation_flag_moves_map_output_slightly(self, capsys):
+        argv = ["map", "--r", "0.5", "--x", "0.75", "--z", "0.6,0.2"]
+        _, exact, _ = run_cli(capsys, argv)
+        _, coarse, _ = run_cli(capsys, argv + ["--trunc-tol", "1e-4"])
         assert exact != coarse
-        assert abs(float(exact.split(",")[0]) - float(coarse.split(",")[0])) < 1e-3
-
-    def test_explicit_flag_beats_environment(self, capsys, monkeypatch):
-        _, exact, _ = run_cli(capsys, ["map", "--r", "0.5", "--x", "0.75", "--z", "0.6,0.2"])
-        monkeypatch.setenv(cli.ENV_TRUNC_TOL, "1e-4")
-        _, forced, _ = run_cli(
-            capsys,
-            ["map", "--r", "0.5", "--x", "0.75", "--z", "0.6,0.2",
-             "--trunc-tol", "1e-12"],
-        )
-        assert forced == exact
+        w_exact, w_coarse = (complex(*map(float, out.split(","))) for out in (exact, coarse))
+        assert abs(w_exact - w_coarse) < 1e-3
 
 
 class TestCertifyExitCodes:

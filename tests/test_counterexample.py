@@ -13,25 +13,30 @@ from slitkit.counterexample import (
     CounterexampleConfig,
     _Phi,
     _family_diameter,
+    _shrinking_arcs,
     certificate_from_json,
     certificate_to_json,
     certify_degenerate,
     delta_of,
-    make_shrinking_arcs,
     nondegenerate_evidence,
     revalidate_certificate,
 )
 from slitkit.errors import ConvergenceError, DomainError, GeometryError
-from slitkit.slitmap import phi_eval
+from slitkit.slitmap import SlitMapParams, phi_eval, slit_endpoint
 
 GOLDEN_X_STAR = 0.73125
 GOLDEN_DELTA = 0.4875
 GOLDEN_ZETA = -0.55625
 GOLDEN_DIST_GAMMA = 0.798503085935911
-# sha256 of the reference instance's certificate JSON and evidence CSV; the
-# CLI's `certify` and `evidence` output for --r 0.25 --x0 0.8 hash the same.
+# sha256 of the reference instance's certificate JSON and of its evidence CSV
+# for each connectivity m; the CLI's `certify` and `evidence --m m` output
+# for --r 0.25 --x0 0.8 hash the same.
 CERTIFICATE_SHA256 = "903c27ae0ca8e1a577daabe63c2a6af2eb8466df8b26b0a246945e1e825e5b2d"
-EVIDENCE_SHA256 = "844822b3eb75bb5c0c02acf94d54e7a993dc59b213eb1abe7e71f2bac66ac342"
+EVIDENCE_SHA256 = {
+    3: "844822b3eb75bb5c0c02acf94d54e7a993dc59b213eb1abe7e71f2bac66ac342",
+    4: "19e0495d6640ab3c528d351ab425e462cf859d5d24c7881e5cfc7df73b548682",
+    5: "f4c6ca07d5607e8354b214990ad7b5d74b4898afa3f53137a8a3dd6986047629",
+}
 GOLDEN_MARGINS = {
     "lemma61_i": 3.3478686500276744e-06,
     "lemma61_ii": 0.486003085935911,
@@ -159,11 +164,13 @@ class TestCertificate:
             assert cert.margins[key] == pytest.approx(GOLDEN_MARGINS[key], abs=1e-10)
         assert cert.truncation_report < 1e-11
 
-    def test_certify_and_evidence_bytes_are_pinned(self, std_config, std_certificate):
+    @pytest.mark.parametrize("m", sorted(EVIDENCE_SHA256))
+    def test_certify_and_evidence_bytes_are_pinned(self, std_config, std_certificate, m):
         text = certificate_to_json(std_certificate)
         assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256
-        csv = nondegenerate_evidence(std_config, std_certificate).to_csv()
-        assert hashlib.sha256(csv.encode()).hexdigest() == EVIDENCE_SHA256
+        cfg = dataclasses.replace(std_config, m=m)
+        csv = nondegenerate_evidence(cfg, std_certificate).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == EVIDENCE_SHA256[m]
 
     def test_margin_inequalities_hold(self, std_config, std_certificate):
         cert = std_certificate
@@ -238,26 +245,29 @@ class TestPhiUniformity:
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
 
 
+def shrinking_arcs(cfg, zeta_star, n):
+    """`_shrinking_arcs` around the slit of f_{x0}, as `nondegenerate_evidence` calls it."""
+    end = slit_endpoint(SlitMapParams(cfg.modulus(), cfg.x0)).endpoint_plus
+    return _shrinking_arcs(cfg, zeta_star, n, math.atan2(end.imag, end.real))
+
+
 class TestArcFamily:
     def test_single_arc_for_minimal_connectivity(self, std_config, std_certificate):
-        fam = make_shrinking_arcs(std_config, std_certificate.zeta_star, 10)
-        assert len(fam.arcs) == 1
-        arc = fam.arcs[0]
+        radii, samples = shrinking_arcs(std_config, std_certificate.zeta_star, 10)
+        assert radii.shape == (1,) and samples.shape == (1, ARC_SAMPLES)
         az = abs(std_certificate.zeta_star)
-        assert arc.radius == pytest.approx(az + 1.0 / 40.0, abs=1e-15)
-        assert arc.theta_max - arc.theta_min == pytest.approx(1.0 / (40.0 * az), abs=1e-15)
+        assert radii[0] == pytest.approx(az + 1.0 / 40.0, abs=1e-15)
+        theta = np.angle(-samples[0])
+        assert theta[-1] - theta[0] == pytest.approx(1.0 / (40.0 * az), abs=1e-15)
 
     def test_all_points_within_disk(self, std_config, std_certificate):
         for n in (10, 40, 160):
-            fam = make_shrinking_arcs(std_config, std_certificate.zeta_star, n)
-            for arc in fam.arcs:
-                pts = arc.sample(257)
-                assert np.abs(pts - std_certificate.zeta_star).max() < 1.0 / n
+            _, samples = shrinking_arcs(std_config, std_certificate.zeta_star, n)
+            assert np.abs(samples - std_certificate.zeta_star).max() < 1.0 / n
 
     def test_diameter_at_most_halves_when_n_doubles(self, std_config, std_certificate):
         def diam(n):
-            fam = make_shrinking_arcs(std_config, std_certificate.zeta_star, n)
-            pts = np.concatenate([a.sample(128) for a in fam.arcs])
+            pts = shrinking_arcs(std_config, std_certificate.zeta_star, n)[1].ravel()
             return float(np.abs(pts[:, None] - pts[None, :]).max())
 
         assert diam(20) <= 0.5 * diam(10) + 1e-12
@@ -265,9 +275,8 @@ class TestArcFamily:
     def test_endpoint_diameter_matches_all_pairs(self, std_certificate):
         cfg = CounterexampleConfig(r=0.25, x0=0.8, m=6)
         for n in (10, 40, 160):
-            fam = make_shrinking_arcs(cfg, std_certificate.zeta_star, n)
-            samples = [arc.sample(ARC_SAMPLES) for arc in fam.arcs]
-            pts = np.concatenate(samples)
+            _, samples = shrinking_arcs(cfg, std_certificate.zeta_star, n)
+            pts = samples.ravel()
             all_pairs = max(float(np.abs(pts - p).max()) for p in pts)
             assert _family_diameter(samples) == all_pairs
 
@@ -275,7 +284,7 @@ class TestArcFamily:
         # zeta_star = -0.55625 lies 0.44375 from the unit circle and 0.24375
         # from the slit, so the 1/n disk clears both from n = 5.
         with pytest.raises(GeometryError, match=r"reaches the unit circle at n = 2; .* from n = 5$"):
-            make_shrinking_arcs(std_config, std_certificate.zeta_star, 2)
+            shrinking_arcs(std_config, std_certificate.zeta_star, 2)
 
     def test_geometry_error_names_least_clearing_n(self):
         # At (r, x0) = (0.1, 0.4) the certificate passes with zeta_star =
@@ -287,20 +296,27 @@ class TestArcFamily:
         with pytest.raises(GeometryError, match=r"reaches the slit at n = 10; .* from n = 14$"):
             nondegenerate_evidence(cfg, cert)
         with pytest.raises(GeometryError, match=r"reaches the slit at n = 13; .* from n = 14$"):
-            make_shrinking_arcs(cfg, cert.zeta_star, 13)
+            shrinking_arcs(cfg, cert.zeta_star, 13)
         table = nondegenerate_evidence(dataclasses.replace(cfg, n_list=(14, 20, 40)), cert)
         assert [row.n for row in table.rows] == [14, 20, 40]
 
     def test_higher_connectivity_arcs_disjoint(self, std_certificate):
         cfg = CounterexampleConfig(r=0.25, x0=0.8, m=5)
-        fam = make_shrinking_arcs(cfg, std_certificate.zeta_star, 50)
-        assert len(fam.arcs) == 3
-        radii = sorted(a.radius for a in fam.arcs)
-        assert all(b - a > 1e-6 for a, b in zip(radii, radii[1:]))
+        radii, samples = shrinking_arcs(cfg, std_certificate.zeta_star, 50)
+        assert radii.shape == (3,) and samples.shape == (3, ARC_SAMPLES)
+        radii = np.sort(radii)
+        assert np.all(np.diff(radii) > 1e-6)
 
     def test_rejects_positive_center(self, std_config):
         with pytest.raises(DomainError):
-            make_shrinking_arcs(std_config, 0.5, 10)
+            shrinking_arcs(std_config, 0.5, 10)
+
+    def test_rejects_arcs_that_reach_the_origin(self):
+        # At m = 6 and n = 8 the innermost radius is |zeta_star| - 4/80 < 0,
+        # though the 1/8 disk around -0.04 clears the slit at radius 0.5.
+        cfg = CounterexampleConfig(r=0.01, x0=0.5, m=6)
+        with pytest.raises(DomainError, match="arc radius must be positive"):
+            shrinking_arcs(cfg, -0.04, 8)
 
 
 class TestEvidence:
@@ -356,14 +372,20 @@ class TestEvidence:
 class TestWorkCounts:
     def test_pipeline_makes_no_scalar_solve(self, std_config, monkeypatch):
         # delta_of brackets its crossing in the preimage under f_{x0} with
-        # forward maps only, so no stage runs a scalar Newton solve.
-        per_crossing = []
+        # unguarded forward maps only, so no stage runs a scalar Newton solve
+        # and no root-finder step runs a guarded f_eval.
+        per_crossing, guarded_in_steps, stepping = [], [], [False]
 
         def scalar(p, w, seed):
             raise AssertionError("the certify pipeline ran a scalar Newton solve")
 
         def march(p, w):
             raise AssertionError("the certify pipeline marched along the real segment")
+
+        def guarded(p, z):
+            if stepping[0]:
+                guarded_in_steps.append(z)
+            return f_eval(p, z)
 
         root = counterexample._bracket_root
 
@@ -372,20 +394,27 @@ class TestWorkCounts:
 
             def counted(z):
                 per_crossing[-1] += 1
-                return g(z)
+                stepping[0] = True
+                try:
+                    return g(z)
+                finally:
+                    stepping[0] = False
 
             return root(counted, *args)
 
+        f_eval = slitmap.f_eval
         # An imported binding in counterexample would bypass the slitmap
         # one, so both namespaces get the guard.
         for module in (slitmap, counterexample):
             monkeypatch.setattr(module, "f_inverse", scalar, raising=False)
+            monkeypatch.setattr(module, "f_eval", guarded)
         monkeypatch.setattr(slitmap, "f_inverse_real_segment", march)
         monkeypatch.setattr(counterexample, "_bracket_root", counting_root)
         cert = certify_degenerate(std_config)
         revalidate_certificate(std_config, cert, std_config.trunc_tol / 100.0)
         nondegenerate_evidence(std_config, cert)
         assert per_crossing and max(per_crossing) <= 20
+        assert guarded_in_steps == []
 
     def test_evidence_makes_one_newton_call(self, std_config, std_certificate, monkeypatch):
         sizes = []

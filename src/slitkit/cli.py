@@ -88,47 +88,50 @@ def _print_complex(value: complex, fmt: str, out: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--trunc-tol", type=float, default=DEFAULT_TRUNC_TOL,
-                        help="bound on the prime function's relative truncation "
-                             f"error (default {DEFAULT_TRUNC_TOL})")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--format", default="text", choices=("text", "json"),
-                        help="scalar output format")
+    # One parent per flag: each subcommand takes only the flags it reads.
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=None, help="output file (default stdout)")
+    trunc = _Parser(add_help=False)
+    trunc.add_argument("--trunc-tol", type=float, default=DEFAULT_TRUNC_TOL,
+                       help="bound on the prime function's relative truncation "
+                            f"error (default {DEFAULT_TRUNC_TOL})")
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", default="text", choices=("text", "json"),
+                     help="scalar output format")
 
     parser = _Parser(prog="slitkit",
                      description="slit maps and squeezing bounds for the annulus")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("prime", parents=[common],
+    p = sub.add_parser("prime", parents=[trunc, out, fmt],
                        help="evaluate the annulus prime function")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--z", type=_complex_arg, required=True)
     p.add_argument("--a", type=_complex_arg, required=True)
 
-    p = sub.add_parser("map", parents=[common],
+    p = sub.add_parser("map", parents=[trunc, out, fmt],
                        help="evaluate the circular slit disk map f_x")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--z", type=_complex_arg, required=True)
 
-    p = sub.add_parser("squeeze", parents=[common],
+    p = sub.add_parser("squeeze", parents=[out, fmt],
                        help="squeezing function of the annulus")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--z", type=_complex_arg, required=True)
 
-    p = sub.add_parser("radii", parents=[common],
+    p = sub.add_parser("radii", parents=[out, fmt],
                        help="slit radius from the annulus period system")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--z", type=_complex_arg, required=True)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[trunc, out],
                        help="search and certify a degenerate counterexample")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = sub.add_parser("evidence", parents=[common],
+    p = sub.add_parser("evidence", parents=[trunc, out],
                        help="shrinking-arc evidence table for a certified witness")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--x0", type=float, required=True)
@@ -136,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", type=_n_list_arg, default=(10, 20, 40, 80, 160))
     p.add_argument("--m", type=int, default=3)
 
-    p = sub.add_parser("plot", parents=[common],
+    p = sub.add_parser("plot", parents=[trunc, out],
                        help="two-panel SVG of the annulus grid and its image")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--x", type=float, required=True)

@@ -76,10 +76,16 @@ class CounterexampleConfig:
 
     def __post_init__(self) -> None:
         # a string, None or a complex number would fail the comparisons
-        # below with a bare TypeError
+        # below with a bare TypeError.  A numpy scalar passes, and is stored
+        # as a float, so its type changes no digit of the output.
         for name in ("r", "x0", "xi_scan_step", "tol", "trunc_tol"):
-            if not isinstance(getattr(self, name), (int, float)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)):
                 raise DomainError(f"{name} must be a real number")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:  # an int beyond the float range
+                raise DomainError(f"{name} must be a real number in the float range") from None
         if not (0.0 < self.r < 1.0):
             raise DomainError("r must lie in (0, 1)")
         if not (math.sqrt(self.r) < self.x0 < 1.0):

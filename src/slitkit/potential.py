@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 from .prime import AnnulusModulus
-from .slitmap import MobiusReal, SlitMapParams, _slit_dist, f_eval
+from .slitmap import slit_dist_after_mobius
 
 NODE_CLEARANCE = 1e-12
 MATRIX_TOL = 1e-10
@@ -270,16 +270,14 @@ def competitor_boundary_dist(
 
     The competitor is T(f_x(.)), T the real Mobius map vanishing at
     c = f_x(z0).  Inverted, it is precomposed with z -> r/z, which swaps the
-    two boundary circles and so changes only c, to f_x(r/z0).  |T| = 1 on
-    the unit circle, the image of |z| = 1, and on the slit circle |w| = x
-    < 1, which holds the image of |z| = r, |T(w)| is monotone in Re w; so
-    `_slit_dist` gives the least value in closed form.  No competitor can
-    beat max(z0, r/z0); the canonical choices x = z0 and (inverted)
+    two boundary circles and so changes only c, to f_x(r/z0).  Either way it
+    is the slit map f_x recentred at a point of (r, 1), and |T| = 1 on the
+    unit circle, the image of |z| = 1; so its distance is that of the
+    recentred slit, `slit_dist_after_mobius` at that point.  No competitor
+    can beat max(z0, r/z0); the canonical choices x = z0 and (inverted)
     x = r/z0 give c = 0 and attain it exactly.
     """
     m = AnnulusModulus(r)
     if not r < z0 < 1.0:
         raise DomainError("z0 must lie in (r, 1)")
-    p = SlitMapParams(m, x)
-    base = r / z0 if inverted else z0
-    return _slit_dist(p, MobiusReal(float(np.real(f_eval(p, base)))))
+    return slit_dist_after_mobius(x, r / z0 if inverted else z0, m)

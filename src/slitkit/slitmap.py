@@ -10,11 +10,11 @@ holomorphically to the larger annulus r^2/x < |z| < 1/x, which is how values
 on both boundary circles and slightly beyond are obtained.
 
 The recentred comparison map phi_x = T_x o f_x o f_{x0}^{-1}, with T_x the
-real Mobius map vanishing at f_x(x0), lives here as `_Phi`; `q_of`,
-`phi_eval` and `slit_dist_after_mobius` read single values from it, and the
-certify pipeline in `counterexample` builds one per candidate x.
-`_slit_dist` gives the distance from 0 to T(slit) for any real Mobius map T,
-for `_Phi` and for `potential.competitor_boundary_dist`.
+real Mobius map vanishing at f_x(x0), lives here as `_Phi`, for any x and x0
+in (r, 1); `q_of`, `phi_eval` and `slit_dist_after_mobius` read single values
+from it, and the certify pipeline in `counterexample` builds one per
+candidate x.  The competitors of `potential.competitor_boundary_dist` are
+slit maps recentred the same way and read `slit_dist_after_mobius` too.
 
 Public functions check their arguments once per call; private helpers
 expect checked points.  f_x is the ratio of two prime functions, but their
@@ -33,8 +33,8 @@ constants that `SlitMapParams.terms` caches per modulus and x, and one exp:
 - `_fx_log_deriv(p, z)` returns (f_x, f_x'/f_x) from one pass over the head
   factor pairs and the series.
 
-`_map` and `_map_log_deriv` run them with the pole check, and `f_prime` and
-every Newton step use `_map_log_deriv`.  `slit_endpoint` reads only
+`f_eval` and `_map_log_deriv` run them with the pole check, and `f_prime`
+and every Newton step use `_map_log_deriv`.  `slit_endpoint` reads only
 f_x'/f_x from `_fx_log_deriv`, after checking f_x at its two bracket ends,
 which bound the kernel at every point between.  Its sign change is found by
 `_bracket_root`, the one bracketed root finder (ITP steps: Illinois false
@@ -185,9 +185,20 @@ def _check_extended_annulus(p: SlitMapParams, z) -> None:
 
 
 def f_eval(p: SlitMapParams, z):
-    """Evaluate the slit map f_x on scalars or arrays of points."""
+    """Evaluate the slit map f_x on scalars or arrays of points.
+
+    The kernel needs no checks of its own beyond `_check_extended_annulus`.
+    A pole divides by zero: a Python scalar raises ZeroDivisionError, an
+    array gives inf or nan with numpy silenced; both become PoleError.
+    """
     _check_extended_annulus(p, z)
-    return _map(p, z)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            val = _fx(p, z)
+    except ZeroDivisionError:
+        raise PoleError("slit map evaluated at a pole") from None
+    _check_finite(val)
+    return val
 
 
 def _fx(p: SlitMapParams, z):
@@ -249,26 +260,10 @@ def _fx_log_deriv(p: SlitMapParams, z):
     return val, (p.x - inv_x) / ((z - p.x) * (z - inv_x)) + t * w
 
 
-def _map(p: SlitMapParams, z):
-    """f_x at points inside the extended annulus, with a pole check.
-
-    The kernel needs no checks of its own beyond `_check_extended_annulus`.
-    A pole divides by zero: a Python scalar raises ZeroDivisionError, an
-    array gives inf or nan with numpy silenced; both become PoleError.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            val = _fx(p, z)
-    except ZeroDivisionError:
-        raise PoleError("slit map evaluated at a pole") from None
-    _check_finite(val)
-    return val
-
-
 def _map_log_deriv(p: SlitMapParams, z):
     """(f_x, f_x'/f_x) at points inside the extended annulus other than z = x.
 
-    The checks are those of `_map`.
+    The pole checks are those of `f_eval`; the caller checks the annulus.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -300,7 +295,7 @@ def f_prime(p: SlitMapParams, z):
     of the first log derivative at z = x cancels against the zero of f_x, so
     the formula stays accurate arbitrarily close to x, failing only when
     z = x exactly.  Every other zero of either prime function in the annulus
-    of holomorphy is a pole of f_x, which the checks of `_map` reject.
+    of holomorphy is a pole of f_x, which the checks of `f_eval` reject.
 
     trunc_tol bounds values only.  The log derivative of the truncated
     omega(z, a) is off the infinite product's by the derivative of the tail
@@ -318,7 +313,7 @@ def f_prime(p: SlitMapParams, z):
     """
     _check_extended_annulus(p, z)
     if np.any(np.abs(z - p.x) < FACTOR_ZERO):
-        raise PoleError("log derivative evaluated at z = a")
+        raise PoleError("log derivative evaluated at z = x")
     val, dlog = _map_log_deriv(p, z)
     return val * dlog
 
@@ -594,36 +589,18 @@ def slit_endpoint(p: SlitMapParams) -> SlitArc:
     return SlitArc(radius=abs(endpoint), endpoint_plus=endpoint, preimage_theta=root)
 
 
-def _slit_dist(p: SlitMapParams, t: MobiusReal) -> float:
-    """min |T(w)| over the slit of f_x: the distance from 0 to T(slit).
-
-    On the circle |w| = x, with u = Re w, |T(w)|^2 = (x^2 - 2cu + c^2) /
-    (1 - 2cu + c^2 x^2) has u-derivative -2c (1 - x^2)(1 - c^2) over the
-    squared denominator, so |T| falls as Re w grows when c > 0 and rises
-    when c < 0.  The slit is an arc of |w| = x, symmetric in the real axis,
-    through f_x(r) = -x.  So for c > 0 the minimum is |T| at its endpoints,
-    whose images have equal modulus, and for c <= 0 it is |T(-x)| =
-    |x + c|/(1 + c x), which needs no `slit_endpoint`.
-    """
-    c = t.c
-    if c > 0.0:
-        return abs(mobius_apply(t, slit_endpoint(p).endpoint_plus))
-    return abs(p.x + c) / (1.0 + c * p.x)
-
-
 class _Phi:
     """The recentred comparison map phi_x = T_x o f_x o f_{x0}^{-1}.
 
     T_x is the real Mobius map vanishing at c = f_x(x0), so phi_x fixes 0
     and sends the slit disk of f_{x0} onto the unit disk minus the recentred
-    slit T_x(Gamma_x).  c is computed once, on construction.  `solve` takes
+    slit T_x(Gamma_x).  x and x0 may be any points of (r, 1), in either
+    order.  c is computed once, on construction.  `solve` takes
     preimages under f_{x0} from one `_newton` call seeded by `_seeds`, for a
     grid, an arc or a single point alike.
     """
 
     def __init__(self, x: float, x0: float, modulus: AnnulusModulus) -> None:
-        if x > x0:
-            raise DomainError("expected x <= x0")
         self.p0 = SlitMapParams(modulus, x0)
         self.px = SlitMapParams(modulus, x)
         self.mob = MobiusReal(float(np.real(f_eval(self.px, x0))))
@@ -634,15 +611,25 @@ class _Phi:
         return mobius_apply(self.mob, -self.px.x)
 
     def slit_dist(self) -> float:
-        """Distance from 0 to the recentred slit, by `_slit_dist`.
+        """min |T_x(w)| over the slit of f_x: the distance from 0 to T_x(Gamma_x).
 
-        For x < x0 the coefficient c = f_x(x0) is positive and the distance
-        is |T_x| at a slit endpoint; for x = x0, c = 0 and it is x.
+        On the circle |w| = x, with u = Re w, |T(w)|^2 = (x^2 - 2cu + c^2) /
+        (1 - 2cu + c^2 x^2) has u-derivative -2c (1 - x^2)(1 - c^2) over the
+        squared denominator, so |T| falls as Re w grows when c > 0 and rises
+        when c < 0.  The slit is an arc of |w| = x, symmetric in the real
+        axis, through f_x(r) = -x.  f_x increases along (r, 1), so
+        c = f_x(x0) > 0 exactly when x < x0.  Then the minimum is |T| at the
+        slit endpoints, whose images have equal modulus; for x >= x0, c <= 0
+        and it is |T(-x)| = |x + c|/(1 + c x), x itself at x = x0, which
+        needs no `slit_endpoint`.
         """
-        return _slit_dist(self.px, self.mob)
+        c = self.mob.c
+        if c > 0.0:
+            return abs(mobius_apply(self.mob, slit_endpoint(self.px).endpoint_plus))
+        return abs(self.px.x + c) / (1.0 + c * self.px.x)
 
     def slope_at_zero(self) -> float:
-        """phi_x'(0) = f_x'(x0) / ((1 - c^2) f_{x0}'(x0)), for x < x0.
+        """phi_x'(0) = f_x'(x0) / ((1 - c^2) f_{x0}'(x0)), for x != x0.
 
         The preimage of 0 under f_{x0} is x0, and T_x'(c) = 1/(1 - c^2).
         """

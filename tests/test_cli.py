@@ -104,6 +104,19 @@ class TestErrorPaths:
             cli.main(["squeeze", "--r", "0.25"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["squeeze", "--r", "0.25", "--z", "0.5,0", "--trunc-tol", "1e-3"],
+        ["radii", "--r", "0.25", "--z", "0.5,0", "--trunc-tol", "1e-3"],
+        ["certify", "--r", "0.25", "--x0", "0.8", "--format", "json"],
+        ["evidence", "--r", "0.25", "--x0", "0.8", "--format", "json"],
+        ["plot", "--r", "0.25", "--x", "0.75", "--format", "json"],
+    ], ids=["squeeze-trunc-tol", "radii-trunc-tol", "certify-format",
+            "evidence-format", "plot-format"])
+    def test_flag_the_subcommand_does_not_read_exits_one(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+
     def test_unknown_subcommand_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

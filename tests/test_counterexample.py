@@ -77,11 +77,23 @@ class TestConfig:
             CounterexampleConfig(r=0.25, x0=0.8, **{field: value})
 
     @pytest.mark.parametrize("field", ["r", "x0", "tol", "xi_scan_step", "trunc_tol"])
-    @pytest.mark.parametrize("value", ["0.25", None, 0.25 + 0j])
+    @pytest.mark.parametrize("value", ["0.25", None, 0.25 + 0j, 10 ** 400])
     def test_rejects_values_that_are_not_real_numbers(self, field, value):
-        # each used to fail a comparison with a bare TypeError
+        # each used to fail a comparison with a bare TypeError, or the int
+        # its float conversion with a bare OverflowError
         with pytest.raises(DomainError, match=f"{field} must be a real number"):
             CounterexampleConfig(**{"r": 0.25, "x0": 0.8, field: value})
+
+    def test_numpy_scalars_are_stored_as_floats(self):
+        # rng.uniform draws give np.float64; their arithmetic used to change
+        # the last digits of the certificate.
+        cfg = CounterexampleConfig(r=np.float64(0.25), x0=np.float64(0.8),
+                                   xi_scan_step=np.float64(1e-3), tol=np.float64(1e-6),
+                                   trunc_tol=np.float64(1e-12))
+        for name in ("r", "x0", "xi_scan_step", "tol", "trunc_tol"):
+            assert type(getattr(cfg, name)) is float
+        text = certificate_to_json(certify_degenerate(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256
 
     @pytest.mark.parametrize("trunc_tol", [math.nan, 0.0, 1e-12])
     def test_rejects_truncation_the_product_cannot_meet(self, trunc_tol):

@@ -23,7 +23,13 @@ from slitkit.potential import (
     uniform_circle_measure,
 )
 from slitkit.prime import AnnulusModulus
-from slitkit.slitmap import MobiusReal, SlitMapParams, f_eval, mobius_apply
+from slitkit.slitmap import (
+    MobiusReal,
+    SlitMapParams,
+    f_eval,
+    mobius_apply,
+    slit_dist_after_mobius,
+)
 
 
 class TestMeasures:
@@ -261,6 +267,8 @@ class TestCompetitor:
         ring = np.exp(2j * np.pi * np.arange(4096) / 4096)
         for x, z0, inverted, base in self._cases(r):
             d = competitor_boundary_dist(r, x, z0, inverted=inverted)
+            # the same slit map recentred at base, x on either side of it
+            assert d == slit_dist_after_mobius(x, base, AnnulusModulus(r))
             dense = self._image_modulus(r, x, base, r * np.exp(1j * theta)).min()
             sampled = self._image_modulus(r, x, base, np.concatenate([ring, r * ring])).min()
             assert abs(d - dense) < 1e-8

@@ -296,7 +296,7 @@ class TestFusedKernel:
         p = SlitMapParams(AnnulusModulus(r, 1e-12), 0.5 * (r + 1.0))
         z = np.linspace(r, p.x, 201)[:-1]
         val, dlog = slitmap._map_log_deriv(p, z)
-        assert np.array_equal(val, slitmap._map(p, z))
+        assert np.array_equal(val, f_eval(p, z))
         pointwise = [slitmap._map_log_deriv(p, zz) for zz in z.tolist()]
         assert np.array_equal(val, [v for v, _ in pointwise])
         assert np.array_equal(dlog, [dl for _, dl in pointwise])
@@ -705,9 +705,10 @@ class TestRecentredQuantities:
         assert abs(qp - fd) < 1e-6
 
     def test_slit_dist_matches_dense_sampling(self):
+        # x < x0 takes the slit endpoint, x > x0 the closed form at -x.
         m = AnnulusModulus(0.25, 1e-12)
         x0 = 0.8
-        for x in (0.525, 0.6625, 0.73125):
+        for x in (0.525, 0.6625, 0.73125, 0.85, 0.9):
             d = slit_dist_after_mobius(x, x0, m)
             p = SlitMapParams(m, x)
             c = float(np.real(f_eval(p, x0)))
@@ -723,19 +724,14 @@ class TestRecentredQuantities:
             assert abs(phi_eval(x0, x0, m, xi) - xi) < 1e-10
 
     def test_phi_sends_minus_x0_to_q(self):
+        # x on either side of x0: c = f_x(x0) is positive below, negative above.
         m = AnnulusModulus(0.25, 1e-12)
         x0 = 0.8
-        for x in (0.525, 0.6625, 0.79):
-            assert abs(phi_eval(x, x0, m, -x0) - q_of(x, x0, m)) < 1e-10
-
-    def test_pair_ordering_enforced(self):
-        m = AnnulusModulus(0.25, 1e-12)
-        with pytest.raises(DomainError):
-            q_of(0.85, 0.8, m)
-        with pytest.raises(DomainError):
-            phi_eval(0.85, 0.8, m, -0.4)
-        with pytest.raises(DomainError):
-            slit_dist_after_mobius(0.85, 0.8, m)
+        for x in (0.525, 0.6625, 0.79, 0.85, 0.9):
+            c = float(f_eval(SlitMapParams(m, x), x0))
+            q = q_of(x, x0, m)
+            assert q == -(x + c) / (1.0 + c * x)
+            assert abs(phi_eval(x, x0, m, -x0) - q) < 1e-10
 
     def test_pair_outside_annulus_rejected(self):
         m = AnnulusModulus(0.25, 1e-12)
